@@ -466,7 +466,7 @@ fn serve_main(args: &[String]) -> Result<(), String> {
                     value
                         .parse::<f64>()
                         .ok()
-                        .filter(|r| *r > 0.0)
+                        .filter(|r| r.is_finite() && *r > 0.0)
                         .ok_or_else(|| "--rate requires a positive number".to_string())?,
                 );
             }
@@ -687,7 +687,7 @@ fn token_main(args: &[String]) -> Result<(), String> {
                     value
                         .parse::<f64>()
                         .ok()
-                        .filter(|r| *r > 0.0)
+                        .filter(|r| r.is_finite() && *r > 0.0)
                         .ok_or_else(|| "--rate requires a positive number".to_string())?,
                 );
             }
@@ -1102,7 +1102,7 @@ fn fleet_main(args: &[String]) -> Result<(), String> {
                     value
                         .parse::<f64>()
                         .ok()
-                        .filter(|r| *r > 0.0)
+                        .filter(|r| r.is_finite() && *r > 0.0)
                         .ok_or_else(|| "--rate requires a positive number".to_string())?,
                 );
             }

@@ -1,0 +1,50 @@
+//! `--rate` must be a positive, finite number on every serving
+//! subcommand. An infinite arrival rate used to pass validation and make
+//! the simulation loop forever; it must now fail fast with the usual
+//! message instead.
+
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// Generous for a process that only parses its flags, yet far below what
+/// a simulation with an infinite arrival rate would take (it never ends).
+const LIMIT: Duration = Duration::from_secs(10);
+
+/// Runs `repro <args>`, killing it if it outlives [`LIMIT`]. Returns
+/// whether it exited successfully and its stderr.
+fn repro_bounded(args: &[&str]) -> (bool, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro binary runs");
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll repro") {
+            break status;
+        }
+        if start.elapsed() > LIMIT {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`repro {}` did not exit within {LIMIT:?}", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let out = child.wait_with_output().expect("collect repro stderr");
+    (status.success(), String::from_utf8(out.stderr).expect("stderr is UTF-8"))
+}
+
+#[test]
+fn infinite_rate_is_rejected_fast() {
+    for cmd in ["serve", "token", "fleet"] {
+        for rate in ["inf", "infinity", "NaN", "0", "-1"] {
+            let (ok, stderr) = repro_bounded(&[cmd, "--rate", rate]);
+            assert!(!ok, "`repro {cmd} --rate {rate}` must fail");
+            assert!(
+                stderr.contains("--rate requires a positive number"),
+                "`repro {cmd} --rate {rate}` stderr: {stderr}"
+            );
+        }
+    }
+}

@@ -273,7 +273,8 @@ pub struct CacheHierarchy {
     /// L1 line of the immediately preceding access: a repeat is a
     /// guaranteed MRU hit and skips the tag search entirely.
     last_l1_line: Option<u64>,
-    metrics: CacheMetrics,
+    /// `None` for a detached hierarchy that records no telemetry.
+    metrics: Option<CacheMetrics>,
 }
 
 /// Telemetry counters updated per simulated access (relaxed atomics).
@@ -309,17 +310,17 @@ impl CacheHierarchy {
     /// registry.
     #[must_use]
     pub fn for_device_with_registry(spec: &DeviceSpec, registry: &Registry) -> Self {
-        let l1 = CacheConfig {
-            capacity_bytes: spec.l1_bytes_per_sm,
-            line_bytes: spec.cache_line_bytes,
-            ways: 4,
-        };
-        let l2 = CacheConfig {
-            capacity_bytes: spec.l2_bytes,
-            line_bytes: spec.cache_line_bytes,
-            ways: 16,
-        };
+        let (l1, l2) = CacheHierarchy::device_levels(spec);
         CacheHierarchy::with_registry(l1, l2, registry)
+    }
+
+    /// Like [`CacheHierarchy::for_device`], recording no telemetry: the
+    /// caller reads [`CacheHierarchy::stats`] and charges the counters
+    /// itself (the profiler folds them into an operator's deltas).
+    #[must_use]
+    pub fn for_device_detached(spec: &DeviceSpec) -> Self {
+        let (l1, l2) = CacheHierarchy::device_levels(spec);
+        CacheHierarchy::assemble(l1, l2, None)
     }
 
     /// Builds from explicit per-level configs, recording to the global
@@ -332,11 +333,31 @@ impl CacheHierarchy {
     /// Builds from explicit per-level configs and a telemetry registry.
     #[must_use]
     pub fn with_registry(l1: CacheConfig, l2: CacheConfig, registry: &Registry) -> Self {
+        CacheHierarchy::assemble(l1, l2, Some(CacheMetrics::for_registry(registry)))
+    }
+
+    /// A device's levels: L1 = one SM's 4-way cache, L2 = the 16-way
+    /// device cache.
+    fn device_levels(spec: &DeviceSpec) -> (CacheConfig, CacheConfig) {
+        let l1 = CacheConfig {
+            capacity_bytes: spec.l1_bytes_per_sm,
+            line_bytes: spec.cache_line_bytes,
+            ways: 4,
+        };
+        let l2 = CacheConfig {
+            capacity_bytes: spec.l2_bytes,
+            line_bytes: spec.cache_line_bytes,
+            ways: 16,
+        };
+        (l1, l2)
+    }
+
+    fn assemble(l1: CacheConfig, l2: CacheConfig, metrics: Option<CacheMetrics>) -> Self {
         CacheHierarchy {
             l1: SetAssociativeCache::new(l1),
             l2: SetAssociativeCache::new(l2),
             last_l1_line: None,
-            metrics: CacheMetrics::for_registry(registry),
+            metrics,
         }
     }
 
@@ -363,23 +384,25 @@ impl CacheHierarchy {
 
     /// Adds whatever happened since `before` onto the telemetry counters.
     fn flush_metrics(&self, before: HierarchyStats) {
+        let Some(metrics) = &self.metrics else { return };
         let after = self.stats();
-        self.metrics.l1_accesses.add(after.l1.accesses - before.l1.accesses);
-        self.metrics.l1_hits.add(after.l1.hits - before.l1.hits);
-        self.metrics.l2_accesses.add(after.l2.accesses - before.l2.accesses);
-        self.metrics.l2_hits.add(after.l2.hits - before.l2.hits);
+        metrics.l1_accesses.add(after.l1.accesses - before.l1.accesses);
+        metrics.l1_hits.add(after.l1.hits - before.l1.hits);
+        metrics.l2_accesses.add(after.l2.accesses - before.l2.accesses);
+        metrics.l2_hits.add(after.l2.hits - before.l2.hits);
     }
 
     /// Accesses an address: L1 first, then L2 on miss.
     pub fn access(&mut self, addr: u64) {
         let (l1_hit, l2_hit) = self.access_raw(addr);
-        self.metrics.l1_accesses.inc();
+        let Some(metrics) = &self.metrics else { return };
+        metrics.l1_accesses.inc();
         if l1_hit {
-            self.metrics.l1_hits.inc();
+            metrics.l1_hits.inc();
         } else {
-            self.metrics.l2_accesses.inc();
+            metrics.l2_accesses.inc();
             if l2_hit {
-                self.metrics.l2_hits.inc();
+                metrics.l2_hits.inc();
             }
         }
     }
@@ -585,6 +608,21 @@ mod tests {
         assert_eq!(registry.counter("gpu_l2_accesses_total").get(), stats.l2.accesses);
         assert_eq!(registry.counter("gpu_l2_hits_total").get(), stats.l2.hits);
         assert!(stats.l1.hits > 0, "warm second pass should hit L1");
+    }
+
+    #[test]
+    fn detached_hierarchy_matches_recorded_and_records_nothing() {
+        let spec = DeviceSpec::a100_80gb();
+        let runs = [ProbeRun { base: 0, count: 4096, stride: 96 }];
+        let registry = mmg_telemetry::Registry::new();
+        let mut recorded = CacheHierarchy::for_device_with_registry(&spec, &registry);
+        recorded.run_runs(&runs);
+        let mut detached = CacheHierarchy::for_device_detached(&spec);
+        detached.run_runs(&runs);
+        detached.access(0);
+        recorded.access(0);
+        assert_eq!(detached.stats(), recorded.stats());
+        assert_eq!(registry.counter("gpu_l1_accesses_total").get(), recorded.stats().l1.accesses);
     }
 
     #[test]

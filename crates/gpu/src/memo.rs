@@ -137,6 +137,14 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
         self.hits.load(Ordering::Relaxed)
     }
 
+    /// Counts `n` hits served outside [`ShardedLru::get`] — by a cache
+    /// layered above this one that answers for `n` of its entries at
+    /// once — so [`ShardedLru::hits`] reads as if each had been looked
+    /// up here.
+    pub fn credit_hits(&self, n: u64) {
+        self.hits.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Lookups that found nothing.
     #[must_use]
     pub fn misses(&self) -> u64 {
@@ -228,6 +236,17 @@ mod tests {
         lru.insert(c, 3); // shard at capacity 2: evicts b
         assert_eq!(lru.get(&a).as_deref(), Some(&1));
         assert!(lru.get(&b).is_none());
+    }
+
+    #[test]
+    fn credited_hits_count_like_lookups() {
+        let lru: ShardedLru<u32, u32> = ShardedLru::new(8);
+        lru.insert(1, 1);
+        let _ = lru.get(&1);
+        lru.credit_hits(4);
+        assert_eq!(lru.hits(), 5);
+        assert_eq!(lru.misses(), 0);
+        assert!((lru.hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -151,20 +151,22 @@ impl TimingEngine {
     /// by — see [`KernelCost::compute_eff`]).
     #[must_use]
     pub fn kernel_time(&self, cost: &KernelCost) -> KernelTime {
-        self.kernel_time_with_overhead(cost, self.spec.kernel_launch_overhead_us * 1e-6)
+        self.record(cost, self.evaluate(cost, false))
     }
 
-    /// Like [`TimingEngine::kernel_time`], for a launch inside a
-    /// captured CUDA graph: the driver replays the whole sequence from
-    /// one submission, so the per-kernel launch overhead vanishes. The
-    /// device-occupancy floor stays — capture removes CPU dispatch, not
-    /// the kernel's residency on the SMs.
+    /// Models one launch like [`TimingEngine::kernel_time`] without
+    /// recording anything to telemetry. Callers that charge the launch's
+    /// counters themselves — the profiler records a whole operator's
+    /// deltas at once — evaluate through this.
+    ///
+    /// With `captured`, the launch sits inside a captured CUDA graph:
+    /// the driver replays the whole sequence from one submission, so the
+    /// per-kernel launch overhead vanishes. The device-occupancy floor
+    /// stays — capture removes CPU dispatch, not the kernel's residency
+    /// on the SMs.
     #[must_use]
-    pub fn kernel_time_captured(&self, cost: &KernelCost) -> KernelTime {
-        self.kernel_time_with_overhead(cost, 0.0)
-    }
-
-    fn kernel_time_with_overhead(&self, cost: &KernelCost, overhead_s: f64) -> KernelTime {
+    pub fn evaluate(&self, cost: &KernelCost, captured: bool) -> KernelTime {
+        let overhead_s = if captured { 0.0 } else { self.spec.kernel_launch_overhead_us * 1e-6 };
         debug_assert!(cost.compute_eff > 0.0 && cost.compute_eff <= 4.0);
         debug_assert!(cost.memory_eff > 0.0 && cost.memory_eff <= 1.0);
         let compute_s = cost.flops as f64 / (self.spec.peak_fp16_flops() * cost.compute_eff);
@@ -186,14 +188,18 @@ impl TimingEngine {
             + (self.spec.hbm_bound_w - self.spec.idle_w) * u_m)
             .min(self.spec.tdp_w);
         let energy_j = body * draw_w + overhead_s * self.spec.idle_w;
-        let time = KernelTime {
+        KernelTime {
             compute_s,
             memory_s,
             overhead_s,
             total_s: body + overhead_s,
             draw_w,
             energy_j,
-        };
+        }
+    }
+
+    /// Charges one evaluated launch to the engine's telemetry.
+    fn record(&self, cost: &KernelCost, time: KernelTime) -> KernelTime {
         self.metrics.launches.inc();
         self.metrics.flops.add(cost.flops);
         self.metrics.hbm_bytes.add(cost.hbm_bytes);
@@ -203,8 +209,8 @@ impl TimingEngine {
             self.metrics.compute_bound.inc();
         }
         self.metrics.kernel_time_us.observe(time.total_s * 1e6);
-        self.metrics.energy_uj.add(quantize_uj(energy_j));
-        self.metrics.power_w.set(draw_w);
+        self.metrics.energy_uj.add(quantize_uj(time.energy_j));
+        self.metrics.power_w.set(time.draw_w);
         time
     }
 
@@ -293,12 +299,26 @@ mod tests {
     }
 
     #[test]
+    fn evaluate_matches_kernel_time_and_records_nothing() {
+        let registry = mmg_telemetry::Registry::new();
+        let engine = TimingEngine::with_registry(DeviceSpec::a100_80gb(), &registry);
+        let cost =
+            KernelCost { flops: 1 << 36, hbm_bytes: 1 << 26, compute_eff: 0.9, memory_eff: 0.8 };
+        let quiet = engine.evaluate(&cost, false);
+        let before = registry.render_prometheus();
+        assert_eq!(engine.evaluate(&cost, false), quiet);
+        assert_eq!(registry.render_prometheus(), before, "evaluate must not record");
+        assert_eq!(engine.kernel_time(&cost), quiet);
+        assert_eq!(registry.counter("gpu_kernel_launches_total").get(), 1);
+    }
+
+    #[test]
     fn captured_launch_drops_overhead_but_keeps_floor() {
         let e = engine();
         let spec = DeviceSpec::a100_80gb();
         // A tiny kernel: captured time is exactly the occupancy floor.
         let tiny = KernelCost { flops: 10, hbm_bytes: 10, compute_eff: 1.0, memory_eff: 1.0 };
-        let t = e.kernel_time_captured(&tiny);
+        let t = e.evaluate(&tiny, true);
         assert_eq!(t.overhead_s, 0.0);
         assert!((t.total_s - spec.min_kernel_time_us * 1e-6).abs() < 1e-12);
         // A big kernel: capture removes only the fixed launch overhead.
@@ -309,7 +329,7 @@ mod tests {
             memory_eff: 0.9,
         };
         let live = e.kernel_time(&big);
-        let cap = e.kernel_time_captured(&big);
+        let cap = e.evaluate(&big, true);
         let overhead = spec.kernel_launch_overhead_us * 1e-6;
         assert!((live.total_s - cap.total_s - overhead).abs() < 1e-15);
     }
@@ -377,7 +397,7 @@ mod tests {
         let expect = body_s * t.draw_w + t.overhead_s * spec.idle_w;
         assert!((t.energy_j - expect).abs() < 1e-15, "{} vs {expect}", t.energy_j);
         // Captured launches shed the overhead's idle energy exactly.
-        let cap = e.kernel_time_captured(&cost);
+        let cap = e.evaluate(&cost, true);
         assert!((t.energy_j - cap.energy_j - t.overhead_s * spec.idle_w).abs() < 1e-12);
     }
 

@@ -1,5 +1,7 @@
 //! Graphs: ordered, annotated operator sequences.
 
+use std::hash::{Hash, Hasher};
+
 use crate::{Op, OpCategory};
 
 /// One operator plus the module path it came from.
@@ -15,11 +17,77 @@ pub struct Node {
     pub op: Op,
 }
 
+/// Running 128-bit fingerprint of an op sequence.
+///
+/// Two 64-bit lanes each absorb every word an [`Op`] hashes through a
+/// step that is a bijection of the lane state (xor, odd multiply,
+/// xor-shift), with different constants per lane. Because each step is
+/// a bijection, two sequences of equal length that differ in a single
+/// op always end in different states; any other collision needs both
+/// lanes to collide at once. `Op`'s hash writes a discriminant and then
+/// a fixed set of fields for that variant, so the word stream parses
+/// back into ops unambiguously.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct OpSeqHasher {
+    lanes: [u64; 2],
+}
+
+impl OpSeqHasher {
+    const SEED: OpSeqHasher = OpSeqHasher { lanes: [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344] };
+
+    fn value(self) -> u128 {
+        (u128::from(self.lanes[0]) << 64) | u128::from(self.lanes[1])
+    }
+}
+
+impl Hasher for OpSeqHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_usize(bytes.len());
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let [a, b] = &mut self.lanes;
+        *a = (*a ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        *a ^= *a >> 32;
+        *b = (*b ^ x).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        *b ^= *b >> 29;
+    }
+
+    fn finish(&self) -> u64 {
+        self.lanes[0] ^ self.lanes[1]
+    }
+}
+
 /// An ordered operator sequence — the single-stream execution trace of one
 /// forward pass (or one pipeline stage).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     nodes: Vec<Node>,
+    /// Fingerprint of `nodes`' ops, updated on every append.
+    ops: OpSeqHasher,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph { nodes: Vec::new(), ops: OpSeqHasher::SEED }
+    }
 }
 
 impl Graph {
@@ -31,14 +99,30 @@ impl Graph {
 
     /// Appends an operator under a module path.
     pub fn push(&mut self, path: impl Into<String>, op: Op) {
-        self.nodes.push(Node { path: path.into(), op });
+        self.push_node(Node { path: path.into(), op });
+    }
+
+    fn push_node(&mut self, node: Node) {
+        node.op.hash(&mut self.ops);
+        self.nodes.push(node);
     }
 
     /// Appends all nodes of another graph, prefixing their paths.
     pub fn extend_prefixed(&mut self, prefix: &str, other: &Graph) {
+        self.nodes.reserve(other.len());
         for n in &other.nodes {
-            self.nodes.push(Node { path: format!("{prefix}.{}", n.path), op: n.op.clone() });
+            self.push_node(Node { path: format!("{prefix}.{}", n.path), op: n.op.clone() });
         }
+    }
+
+    /// A 128-bit fingerprint of the op sequence, module paths excluded,
+    /// kept up to date as the graph is built. Graphs with equal op
+    /// sequences have equal fingerprints; together with [`Graph::len`] it
+    /// keys whole-graph memoization, where two graphs that differ in any
+    /// op must not share an entry.
+    #[must_use]
+    pub fn fingerprint(&self) -> u128 {
+        self.ops.value()
     }
 
     /// The nodes in execution order.
@@ -96,13 +180,17 @@ impl Graph {
 
 impl FromIterator<Node> for Graph {
     fn from_iter<T: IntoIterator<Item = Node>>(iter: T) -> Self {
-        Graph { nodes: iter.into_iter().collect() }
+        let mut g = Graph::new();
+        g.extend(iter);
+        g
     }
 }
 
 impl Extend<Node> for Graph {
     fn extend<T: IntoIterator<Item = Node>>(&mut self, iter: T) {
-        self.nodes.extend(iter);
+        for node in iter {
+            self.push_node(node);
+        }
     }
 }
 
@@ -158,6 +246,54 @@ mod tests {
         let attn: Vec<_> = g.attention_nodes().collect();
         assert_eq!(attn.len(), 1);
         assert_eq!(attn[0].path, "attn");
+    }
+
+    #[test]
+    fn fingerprint_follows_ops_not_paths() {
+        let g = sample();
+        let mut renamed = Graph::new();
+        for n in g.nodes() {
+            renamed.push(format!("other.{}", n.path), n.op.clone());
+        }
+        assert_eq!(g.fingerprint(), renamed.fingerprint());
+        let mut prefixed = Graph::new();
+        prefixed.extend_prefixed("unet", &g);
+        assert_eq!(g.fingerprint(), prefixed.fingerprint());
+        let collected: Graph = g.nodes().iter().cloned().collect();
+        assert_eq!(collected, g);
+        assert_ne!(Graph::new().fingerprint(), g.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_separates_op_sequences() {
+        let g = sample();
+        // One field of one op differs.
+        let mut deep = Graph::new();
+        for (i, n) in g.nodes().iter().enumerate() {
+            let op = if i == 1 {
+                Op::Attention {
+                    shape: AttentionShape::self_attn(1, 1, 17, 8),
+                    kind: AttnKind::SpatialSelf,
+                }
+            } else {
+                n.op.clone()
+            };
+            deep.push(n.path.clone(), op);
+        }
+        assert_ne!(g.fingerprint(), deep.fingerprint());
+        // The same ops in another order.
+        let swapped: Graph = [1, 0, 2].iter().map(|&i| g.nodes()[i].clone()).collect();
+        assert_ne!(g.fingerprint(), swapped.fingerprint());
+        // Memcpy's float field is part of the identity.
+        let memcpy = |amplification| {
+            let mut m = Graph::new();
+            m.push("m", Op::Memcpy { bytes: 64, amplification });
+            m.fingerprint()
+        };
+        assert_ne!(memcpy(1.0), memcpy(1.25));
+        // A prefix never shares the whole graph's fingerprint.
+        let prefix: Graph = g.nodes()[..2].iter().cloned().collect();
+        assert_ne!(prefix.fingerprint(), g.fingerprint());
     }
 
     #[test]

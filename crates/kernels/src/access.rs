@@ -351,7 +351,30 @@ impl VideoAttentionAccess {
         max_probes: usize,
         registry: &mmg_telemetry::Registry,
     ) -> HierarchyStats {
-        let mut h = CacheHierarchy::for_device_with_registry(spec, registry);
+        let h = CacheHierarchy::for_device_with_registry(spec, registry);
+        self.run_through(h, kernel, temporal, max_probes)
+    }
+
+    /// Like [`VideoAttentionAccess::simulate`], recording no telemetry:
+    /// the caller charges the returned statistics itself.
+    #[must_use]
+    pub fn simulate_detached(
+        &self,
+        kernel: AttentionKernel,
+        temporal: bool,
+        spec: &DeviceSpec,
+        max_probes: usize,
+    ) -> HierarchyStats {
+        self.run_through(CacheHierarchy::for_device_detached(spec), kernel, temporal, max_probes)
+    }
+
+    fn run_through(
+        &self,
+        mut h: CacheHierarchy,
+        kernel: AttentionKernel,
+        temporal: bool,
+        max_probes: usize,
+    ) -> HierarchyStats {
         h.run_runs(&self.runs(kernel, temporal, max_probes));
         h.stats()
     }

@@ -2,8 +2,7 @@
 
 use std::fmt;
 
-use mmg_gpu::{KernelCost, KernelTime};
-use mmg_telemetry::Registry;
+use mmg_gpu::KernelCost;
 
 /// The kernel families the profiler distinguishes, mirroring the kernel
 /// names the paper reads out of Nsight Compute (`gemm`, `softmax`,
@@ -63,8 +62,9 @@ pub struct KernelDesc {
     /// Cost fed to [`mmg_gpu::TimingEngine`].
     pub cost: KernelCost,
     /// Idle SM-tile slots in the launch's final ragged wave (GEMM wave
-    /// quantization). Recorded to telemetry by [`record_kernel`], not at
-    /// descriptor-construction time, so lowering stays a pure function.
+    /// quantization). Charged to telemetry when the profiler records the
+    /// launch, not at descriptor-construction time, so lowering stays a
+    /// pure function.
     pub wave_quant_idle_slots: u64,
     /// Bytes of the kernel's primary output tensor, counted inside
     /// `cost.hbm_bytes`. The fusion pass uses this to know how much HBM
@@ -106,116 +106,9 @@ impl KernelDesc {
     }
 }
 
-/// Records one simulated launch of `desc` to per-kind telemetry
-/// counters: launches, FLOPs, HBM bytes, and the roofline regime the
-/// launch landed in (`memory` vs `compute`).
-pub fn record_kernel(registry: &Registry, desc: &KernelDesc, time: &KernelTime) {
-    if desc.wave_quant_idle_slots > 0 {
-        registry.counter("gpu_wave_quant_idle_slots_total").add(desc.wave_quant_idle_slots);
-    }
-    let kind = desc.kind.to_string();
-    let labels = [("kind", kind.as_str())];
-    registry.counter_with("kernel_launches_total", &labels).inc();
-    registry.counter_with("kernel_flops_total", &labels).add(desc.cost.flops);
-    registry.counter_with("kernel_hbm_bytes_total", &labels).add(desc.cost.hbm_bytes);
-    registry
-        .counter_with("kernel_energy_uj_total", &labels)
-        .add(mmg_gpu::quantize_uj(time.energy_j));
-    let regime = if time.is_memory_bound() { "memory" } else { "compute" };
-    registry
-        .counter_with("kernel_regime_total", &[("kind", kind.as_str()), ("regime", regime)])
-        .inc();
-}
-
-/// Replay form of [`record_kernel`]: bumps the identical counters from a
-/// stored `(kind name, flops, bytes, regime)` tuple instead of live
-/// [`KernelDesc`]/[`KernelTime`] values. Memoized profiling uses this so
-/// a cache hit leaves exactly the telemetry a recomputation would have.
-#[allow(clippy::too_many_arguments)] // mirrors record_kernel field-for-field
-pub fn record_kernel_named(
-    registry: &Registry,
-    kind: &str,
-    flops: u64,
-    hbm_bytes: u64,
-    energy_uj: u64,
-    memory_bound: bool,
-    wave_quant_idle_slots: u64,
-) {
-    if wave_quant_idle_slots > 0 {
-        registry.counter("gpu_wave_quant_idle_slots_total").add(wave_quant_idle_slots);
-    }
-    let labels = [("kind", kind)];
-    registry.counter_with("kernel_launches_total", &labels).inc();
-    registry.counter_with("kernel_flops_total", &labels).add(flops);
-    registry.counter_with("kernel_hbm_bytes_total", &labels).add(hbm_bytes);
-    registry.counter_with("kernel_energy_uj_total", &labels).add(energy_uj);
-    let regime = if memory_bound { "memory" } else { "compute" };
-    registry.counter_with("kernel_regime_total", &[("kind", kind), ("regime", regime)]).inc();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_kernel_named_matches_record_kernel() {
-        let live = Registry::new();
-        let replay = Registry::new();
-        let desc = KernelDesc::new(
-            KernelKind::Gemm,
-            "gemm_b1",
-            KernelCost { flops: 640, hbm_bytes: 128, compute_eff: 0.9, memory_eff: 0.9 },
-        );
-        let time = KernelTime {
-            compute_s: 3e-6,
-            memory_s: 1e-6,
-            overhead_s: 4e-6,
-            total_s: 7e-6,
-            draw_w: 350.0,
-            energy_j: 3e-6 * 350.0 + 4e-6 * 55.0,
-        };
-        record_kernel(&live, &desc, &time);
-        record_kernel_named(
-            &replay,
-            &desc.kind.to_string(),
-            desc.cost.flops,
-            desc.cost.hbm_bytes,
-            mmg_gpu::quantize_uj(time.energy_j),
-            time.is_memory_bound(),
-            desc.wave_quant_idle_slots,
-        );
-        assert_eq!(live.counters_snapshot().values(), replay.counters_snapshot().values());
-    }
-
-    #[test]
-    fn record_kernel_tracks_kind_and_regime() {
-        let registry = Registry::new();
-        let desc = KernelDesc::new(
-            KernelKind::Softmax,
-            "softmax_r64",
-            KernelCost { flops: 100, hbm_bytes: 4000, compute_eff: 1.0, memory_eff: 0.8 },
-        );
-        let time = KernelTime {
-            compute_s: 1e-7,
-            memory_s: 2e-6,
-            overhead_s: 2e-6,
-            total_s: 4e-6,
-            draw_w: 250.0,
-            energy_j: 2e-6 * 250.0 + 2e-6 * 55.0,
-        };
-        record_kernel(&registry, &desc, &time);
-        record_kernel(&registry, &desc, &time);
-        let labels = [("kind", "softmax")];
-        assert_eq!(registry.counter_with("kernel_launches_total", &labels).get(), 2);
-        assert_eq!(registry.counter_with("kernel_flops_total", &labels).get(), 200);
-        assert_eq!(registry.counter_with("kernel_hbm_bytes_total", &labels).get(), 8000);
-        assert_eq!(
-            registry
-                .counter_with("kernel_regime_total", &[("kind", "softmax"), ("regime", "memory")])
-                .get(),
-            2
-        );
-    }
 
     #[test]
     fn display_names_match_nsight_vocabulary() {

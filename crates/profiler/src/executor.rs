@@ -1,23 +1,38 @@
 //! The performance-plane executor.
+//!
+//! Every operator goes through one recording path. A memo miss (or a
+//! profiler without a memo) lowers, optimizes, times and cache-simulates
+//! the op without touching the registry, building the op's
+//! [`OpCostEntry`] — its cost plus the exact counter deltas a
+//! kernel-by-kernel execution charges. A memo hit fetches the stored
+//! entry. Either way
+//! [`Profiler::record_op`] then applies the entry to the registry and
+//! emits the event, so cold, memoized and memo-less profiles are
+//! identical by construction. A whole graph profiled before under the
+//! same configuration replays from the memo's stage tier in one step
+//! ([`Profiler::record_stage`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use mmg_attn::AttnImpl;
 use mmg_gpu::{DeviceSpec, HierarchyStats, TimingEngine};
-use mmg_graph::optimize::{self, OptConfig, OptStats};
-use mmg_graph::{lower::lower_on, AttnKind, Graph};
+use mmg_graph::optimize::{self, OptConfig};
+use mmg_graph::{lower::lower_on, AttnKind, Graph, Node, Op};
 use mmg_kernels::access::{AttentionKernel, VideoAttentionAccess};
 use mmg_kernels::conv::ConvAlgorithm;
 use mmg_telemetry::{Counter, Registry, SpanRecord};
 
-use crate::memo::{synthetic_op_deltas, CostMemo, MemoKey, OpCostEntry};
+use crate::memo::{synthetic_op_deltas, CostMemo, MemoKey, OpCostEntry, StageEntry, StageKey};
 use crate::{AttnCallInfo, KernelRecord, ModuleHook, OpEvent, Timeline};
 
-/// Cached counter handles for one replayed memo entry, keyed by the
-/// entry's `Arc` address (the held `Arc` keeps the address alive).
-type ReplayHandles = HashMap<usize, (Arc<OpCostEntry>, Vec<Counter>)>;
+/// A shared counter-delta list (an op's or a whole stage's).
+type Deltas = Arc<Vec<(String, u64)>>;
+
+/// Counter handles the record path has resolved per memoized delta list,
+/// keyed by the list's `Arc` address (the held `Arc` keeps the address
+/// alive).
+type Handles = HashMap<usize, (Deltas, Vec<Counter>)>;
 
 /// Walks graphs and produces timelines.
 ///
@@ -37,6 +52,9 @@ type ReplayHandles = HashMap<usize, (Arc<OpCostEntry>, Vec<Counter>)>;
 /// ```
 #[derive(Debug)]
 pub struct Profiler {
+    /// Evaluates launches without recording; built on the registry so
+    /// the engine's metric families and help text exist there, as the
+    /// record path charges them.
     engine: TimingEngine,
     attn: AttnImpl,
     elem_bytes: usize,
@@ -51,18 +69,16 @@ pub struct Profiler {
     memo: Option<Arc<CostMemo>>,
     /// Hash of the device spec, precomputed for memo keys.
     device_fingerprint: u64,
-    /// Handle to the engine's `gpu_kernel_time_us` histogram, so memo
-    /// replay can observe stored kernel times without the engine.
+    /// Handle to the engine's `gpu_kernel_time_us` histogram, so the
+    /// record path can observe stored kernel times without the engine.
     kernel_time_us: mmg_telemetry::Histogram,
-    /// Handle to the engine's `gpu_power_w` gauge; replay restores the
-    /// last-launch draw a cold execution would have left.
+    /// Handle to the engine's `gpu_power_w` gauge; recording restores
+    /// the last-launch draw a kernel-by-kernel execution would leave.
     power_w: mmg_telemetry::Gauge,
-    /// Per-entry counter handles for memo replay, keyed by the entry's
-    /// `Arc` address (the cached `Arc` keeps the address alive). Lets a
-    /// hit bump its counters lock-free instead of re-parsing metric
-    /// names under the registry lock on every replay. Bounded by the
-    /// number of distinct entries this profiler replays.
-    replay_handles: Mutex<ReplayHandles>,
+    /// Resolved counter handles, so a replay bumps its counters
+    /// lock-free instead of re-parsing metric names under the registry
+    /// lock. Bounded by the distinct memo entries this profiler replays.
+    handles: Mutex<Handles>,
 }
 
 impl Profiler {
@@ -92,7 +108,7 @@ impl Profiler {
             kernel_time_us: registry
                 .histogram("gpu_kernel_time_us", &mmg_telemetry::time_buckets_us()),
             power_w: registry.gauge("gpu_power_w"),
-            replay_handles: Mutex::new(HashMap::new()),
+            handles: Mutex::default(),
         }
     }
 
@@ -137,31 +153,21 @@ impl Profiler {
     /// [`MemoKey`] has been profiled before — by this profiler or any
     /// other sharing the memo — replay their stored cost and telemetry
     /// instead of re-running lowering, roofline timing, and cache
-    /// simulation. Replay leaves the registry (counters, histogram, and
-    /// span attribution) identical to a cold computation, so memoized
-    /// and unmemoized runs produce byte-identical artifacts.
+    /// simulation, and a whole graph profiled before under the same
+    /// configuration replays from the memo's stage tier. Replay leaves
+    /// the registry (counters, histogram, and span attribution) identical
+    /// to a cold computation, so memoized and unmemoized runs produce
+    /// byte-identical artifacts.
     #[must_use]
     pub fn with_memo(mut self, memo: Arc<CostMemo>) -> Self {
         self.memo = Some(memo);
         self
     }
 
-    /// The attention implementation in use.
-    #[must_use]
-    pub fn attn_impl(&self) -> AttnImpl {
-        self.attn
-    }
-
     /// The device spec this profiler simulates.
     #[must_use]
     pub fn spec(&self) -> &DeviceSpec {
         self.engine.spec()
-    }
-
-    /// Whether the CUDA-graph launch-elision pass is enabled.
-    #[must_use]
-    pub fn captures_graphs(&self) -> bool {
-        self.opt.graph_capture
     }
 
     /// A copy of this profiler with the CUDA-graph capture pass
@@ -186,7 +192,7 @@ impl Profiler {
             device_fingerprint: self.device_fingerprint,
             kernel_time_us: self.kernel_time_us.clone(),
             power_w: self.power_w.clone(),
-            replay_handles: Mutex::new(HashMap::new()),
+            handles: Mutex::default(),
         }
     }
 
@@ -204,196 +210,187 @@ impl Profiler {
         graph: &Graph,
         hooks: &mut [&mut dyn ModuleHook],
     ) -> Timeline {
+        let mut emit = |event: OpEvent| {
+            for h in hooks.iter_mut() {
+                h.on_op(&event);
+            }
+            event
+        };
+        let Some(memo) = self.memo.as_deref() else {
+            let events = graph.nodes().iter().enumerate().map(|(index, node)| {
+                let start_us = self.registry.epoch_us();
+                let entry = self.compute_op(&node.op);
+                emit(self.record_op(index, node, &entry, start_us, false))
+            });
+            return Timeline::new(events.collect());
+        };
+        let stage_key = self.stage_key(graph);
+        if let Some(stage) = memo.lookup_stage(&stage_key) {
+            return self.record_stage(graph, &stage, emit);
+        }
+        let mut entries = Vec::with_capacity(graph.len());
         let mut events = Vec::with_capacity(graph.len());
         for (index, node) in graph.nodes().iter().enumerate() {
-            let attn_shape = node.op.attention_shape();
-            let attention = attn_shape.as_ref().map(|(shape, kind)| AttnCallInfo {
-                kind: *kind,
-                seq_q: shape.seq_q,
-                seq_kv: shape.seq_kv,
-                batch: shape.batch,
-                heads: shape.heads,
-            });
-            let key = self.memo.as_ref().map(|_| {
-                MemoKey::for_op(
-                    &node.op,
-                    self.attn,
-                    self.elem_bytes,
-                    self.conv_algo,
-                    self.cache_probes,
-                    self.opt,
-                    self.device_fingerprint,
-                )
-            });
-            if let (Some(memo), Some(key)) = (self.memo.as_deref(), key.as_ref()) {
-                if let Some(entry) = memo.lookup(key) {
-                    let event = self.replay_op(index, &node.path, &node.op, &entry, attention);
-                    for h in hooks.iter_mut() {
-                        h.on_op(&event);
-                    }
-                    events.push(event);
-                    continue;
-                }
-            }
-            let snap = self.registry.counters_snapshot();
-            let span = self.registry.span(&node.path);
-            let mut kernels = lower_on(
+            let start_us = self.registry.epoch_us();
+            let key = MemoKey::for_op(
                 &node.op,
                 self.attn,
                 self.elem_bytes,
                 self.conv_algo,
-                self.engine.spec().sm_count as usize,
+                self.cache_probes,
+                self.opt,
+                self.device_fingerprint,
             );
-            let opt_stats =
-                optimize::apply(&mut kernels, &self.opt, self.engine.spec());
-            self.record_opt_stats(opt_stats);
-            let mut records = Vec::with_capacity(kernels.len());
-            let mut time_s = 0.0;
-            let mut energy_j = 0.0;
-            let mut flops = 0u64;
-            let mut hbm = 0u64;
-            for k in &kernels {
-                let kt = if k.captured {
-                    self.engine.kernel_time_captured(&k.cost)
-                } else {
-                    self.engine.kernel_time(&k.cost)
-                };
-                mmg_kernels::record_kernel(&self.registry, k, &kt);
-                time_s += kt.total_s;
-                energy_j += kt.energy_j;
-                flops += k.cost.flops;
-                hbm += k.cost.hbm_bytes;
-                records.push(KernelRecord {
-                    kind: k.kind.to_string(),
-                    label: k.label.clone(),
-                    time_s: kt.total_s,
-                    compute_s: kt.compute_s,
-                    memory_s: kt.memory_s,
-                    flops: k.cost.flops,
-                    hbm_bytes: k.cost.hbm_bytes,
-                    wave_quant_idle_slots: k.wave_quant_idle_slots,
-                    draw_w: kt.draw_w,
-                    energy_j: kt.energy_j,
-                });
-            }
-            let mut cache_stats = None;
-            if self.cache_probes > 0 {
-                if let Some((shape, kind)) = &attn_shape {
-                    cache_stats = Some(self.simulate_attention_caches(shape, *kind));
-                }
-            }
-            let records = Arc::new(records);
-            if let (Some(memo), Some(key)) = (self.memo.as_deref(), key) {
-                memo.store(
-                    key,
-                    OpCostEntry::new(
-                        time_s,
-                        energy_j,
-                        flops,
-                        hbm,
-                        Arc::clone(&records),
-                        synthetic_op_deltas(&records, cache_stats, opt_stats),
-                    ),
-                );
-            }
-            drop(span);
-            let event = OpEvent {
-                index,
-                path: node.path.clone(),
-                category: node.op.category(),
-                time_s,
-                flops,
-                hbm_bytes: hbm,
-                energy_j,
-                kernels: records,
-                attention,
-                counters: Arc::new(snap.delta_since(&self.registry)),
+            let entry = match memo.lookup(&key) {
+                Some(entry) => entry,
+                None => memo.store(key, self.compute_op(&node.op)),
             };
-            for h in hooks.iter_mut() {
-                h.on_op(&event);
-            }
-            events.push(event);
+            events.push(emit(self.record_op(index, node, &entry, start_us, true)));
+            entries.push(entry);
         }
+        memo.store_stage(stage_key, StageEntry::new(entries, &self.kernel_time_us));
         Timeline::new(events)
     }
 
-    /// Records one op's optimization-pass telemetry. Counters are
-    /// created only on a non-zero charge (mirrored by
-    /// `synthetic_op_deltas`, so memo replay stays byte-identical).
-    fn record_opt_stats(&self, stats: OptStats) {
-        if stats.kernels_fused > 0 {
-            self.registry.counter("kernel_fused_total").add(stats.kernels_fused);
-        }
-        if stats.launches_elided > 0 {
-            self.registry.counter("kernel_launches_elided_total").add(stats.launches_elided);
-        }
-        if stats.hbm_bytes_saved > 0 {
-            self.registry
-                .counter("kernel_opt_hbm_bytes_saved_total")
-                .add(stats.hbm_bytes_saved);
+    fn stage_key(&self, graph: &Graph) -> StageKey {
+        StageKey {
+            ops: graph.fingerprint(),
+            len: graph.len(),
+            attn: self.attn,
+            elem_bytes: self.elem_bytes,
+            conv_algo: self.conv_algo,
+            cache_probes: self.cache_probes,
+            opt: self.opt,
+            device_fingerprint: self.device_fingerprint,
         }
     }
 
-    /// Memo-hit fast path: reproduces every externally observable effect
-    /// of executing `op` — counters, the kernel-time histogram, a span
-    /// record with the op's counter attribution, and the [`OpEvent`] —
-    /// from the stored entry, without lowering, roofline evaluation, or
-    /// cache simulation.
-    fn replay_op(
+    /// The miss path: lowers, optimizes, times and (for attention ops,
+    /// when enabled) cache-simulates one op without touching the
+    /// registry, returning its cost and the exact counter deltas a
+    /// kernel-by-kernel execution would record.
+    fn compute_op(&self, op: &Op) -> OpCostEntry {
+        let spec = self.engine.spec();
+        let mut kernels =
+            lower_on(op, self.attn, self.elem_bytes, self.conv_algo, spec.sm_count as usize);
+        let opt_stats = optimize::apply(&mut kernels, &self.opt, spec);
+        let mut records = Vec::with_capacity(kernels.len());
+        let (mut time_s, mut energy_j, mut flops, mut hbm) = (0.0, 0.0, 0u64, 0u64);
+        for k in &kernels {
+            let kt = self.engine.evaluate(&k.cost, k.captured);
+            time_s += kt.total_s;
+            energy_j += kt.energy_j;
+            flops += k.cost.flops;
+            hbm += k.cost.hbm_bytes;
+            records.push(KernelRecord {
+                kind: k.kind.to_string(),
+                label: k.label.clone(),
+                time_s: kt.total_s,
+                compute_s: kt.compute_s,
+                memory_s: kt.memory_s,
+                flops: k.cost.flops,
+                hbm_bytes: k.cost.hbm_bytes,
+                wave_quant_idle_slots: k.wave_quant_idle_slots,
+                draw_w: kt.draw_w,
+                energy_j: kt.energy_j,
+            });
+        }
+        let cache_stats = match op.attention_shape() {
+            Some((shape, kind)) if self.cache_probes > 0 => {
+                Some(self.simulate_attention_caches(&shape, kind))
+            }
+            _ => None,
+        };
+        let deltas = synthetic_op_deltas(&records, cache_stats, opt_stats);
+        OpCostEntry::new(time_s, energy_j, flops, hbm, Arc::new(records), deltas)
+    }
+
+    /// The one record path: applies an op's entry to the registry —
+    /// counters, the kernel-time histogram, the power gauge and a span
+    /// carrying the op's counter attribution, opened at `start_us` — and
+    /// builds its [`OpEvent`]. `memoized` entries cache their counter
+    /// handles for the next replay; a memo-less profiler's fresh entries
+    /// are never seen again, so theirs are resolved once and dropped.
+    fn record_op(
         &self,
         index: usize,
-        path: &str,
-        op: &mmg_graph::Op,
-        entry: &Arc<OpCostEntry>,
-        attention: Option<AttnCallInfo>,
+        node: &Node,
+        entry: &OpCostEntry,
+        start_us: f64,
+        memoized: bool,
     ) -> OpEvent {
-        let wall = Instant::now();
-        let start_us = self.registry.epoch_us();
-        self.apply_replay_deltas(entry);
+        self.apply_deltas(&entry.counter_deltas, memoized);
         for k in entry.records.iter() {
             self.kernel_time_us.observe(k.time_s * 1e6);
         }
         if let Some(last) = entry.records.last() {
             self.power_w.set(last.draw_w);
         }
+        self.record_span(&node.path, start_us, &entry.visible);
+        event(index, node, entry)
+    }
+
+    /// Stage-tier hit: replays a whole graph with the registry left as
+    /// [`Profiler::record_op`] on every op would leave it. Each distinct
+    /// counter is bumped once by its summed delta, the histogram takes
+    /// the pre-tallied buckets with kernel times summed in launch order
+    /// (so its f64 sum is bitwise the per-op one), and the power gauge is
+    /// set once. Events and spans are still per op, with paths from the
+    /// live graph; each op's span runs until the next op's starts.
+    fn record_stage(
+        &self,
+        graph: &Graph,
+        stage: &StageEntry,
+        mut emit: impl FnMut(OpEvent) -> OpEvent,
+    ) -> Timeline {
+        let mut start_us = self.registry.epoch_us();
+        self.apply_deltas(&stage.counter_deltas, true);
+        let times = stage.ops.iter().flat_map(|e| e.records.iter().map(|k| k.time_s * 1e6));
+        self.kernel_time_us.observe_tallied(&stage.kernel_buckets, times);
+        if let Some(w) = stage.last_draw_w {
+            self.power_w.set(w);
+        }
+        let mut events = Vec::with_capacity(graph.len());
+        for (index, (node, entry)) in graph.nodes().iter().zip(&stage.ops).enumerate() {
+            let end_us = self.record_span(&node.path, start_us, &entry.visible);
+            events.push(emit(event(index, node, entry)));
+            start_us = end_us;
+        }
+        Timeline::new(events)
+    }
+
+    /// Records the span a live execution of the op at `path` would have
+    /// closed now, nested under any open span; returns its end time.
+    fn record_span(&self, path: &str, start_us: f64, deltas: &Deltas) -> f64 {
+        let end_us = self.registry.epoch_us();
         self.registry.record_span(SpanRecord {
             path: mmg_telemetry::nested_span_path(path),
             start_us,
-            dur_us: wall.elapsed().as_secs_f64() * 1e6,
-            counter_deltas: Arc::clone(&entry.visible),
+            dur_us: end_us - start_us,
+            counter_deltas: Arc::clone(deltas),
         });
-        OpEvent {
-            index,
-            path: path.to_string(),
-            category: op.category(),
-            time_s: entry.time_s,
-            flops: entry.flops,
-            hbm_bytes: entry.hbm_bytes,
-            energy_j: entry.energy_j,
-            kernels: Arc::clone(&entry.records),
-            attention,
-            counters: Arc::clone(&entry.visible),
-        }
+        end_us
     }
 
-    /// Bumps the registry counters for one replayed entry. The first
-    /// replay of an entry resolves every counter name — including zero
-    /// deltas, so counters the live path registers at zero get created —
-    /// to an atomic handle; subsequent replays add through the cached
-    /// handles without touching the registry lock or parsing names.
-    fn apply_replay_deltas(&self, entry: &Arc<OpCostEntry>) {
-        let mut cache = self.replay_handles.lock().expect("replay handle cache poisoned");
-        let (_, handles) = cache
-            .entry(Arc::as_ptr(entry) as usize)
-            .or_insert_with(|| {
-                let handles = entry
-                    .counter_deltas
-                    .iter()
-                    .map(|(full, _)| self.registry.counter_handle(full))
-                    .collect();
-                (Arc::clone(entry), handles)
-            });
-        for (c, (_, delta)) in handles.iter().zip(&entry.counter_deltas) {
+    /// Bumps the registry counters named in `deltas`. Every name is
+    /// resolved to a handle — including zero deltas, so counters a
+    /// kernel-by-kernel execution registers at zero get created. With
+    /// `memoized`, the list's handles are kept for its next application,
+    /// which then adds without any lookup.
+    fn apply_deltas(&self, deltas: &Deltas, memoized: bool) {
+        let resolve = || -> Vec<Counter> {
+            deltas.iter().map(|(full, _)| self.registry.counter_handle(full)).collect()
+        };
+        let mut by_list = self.handles.lock().expect("counter handle cache poisoned");
+        let fresh;
+        let handles = if memoized {
+            let key = Arc::as_ptr(deltas) as usize;
+            &by_list.entry(key).or_insert_with(|| (Arc::clone(deltas), resolve())).1
+        } else {
+            fresh = resolve();
+            &fresh
+        };
+        for (c, (_, delta)) in handles.iter().zip(deltas.iter()) {
             if *delta > 0 {
                 c.add(*delta);
             }
@@ -401,11 +398,11 @@ impl Profiler {
     }
 
     /// Replays sampled GEMM and softmax sector streams for one attention
-    /// call through a fresh L1/L2 hierarchy wired to this profiler's
-    /// registry. The call's sequence geometry is mapped back onto the
-    /// video activation layout: temporal attention attends across frames
-    /// per pixel (`seq = frames`, `batch = H·W`), spatial attention
-    /// attends across pixels per frame (`seq = H·W`, `batch = frames`).
+    /// call through a fresh, detached L1/L2 hierarchy. The call's
+    /// sequence geometry is mapped back onto the video activation
+    /// layout: temporal attention attends across frames per pixel
+    /// (`seq = frames`, `batch = H·W`), spatial attention attends across
+    /// pixels per frame (`seq = H·W`, `batch = frames`).
     fn simulate_attention_caches(
         &self,
         shape: &mmg_attn::AttentionShape,
@@ -431,19 +428,36 @@ impl Profiler {
         let spec = self.engine.spec();
         let mut total = HierarchyStats::default();
         for kernel in [AttentionKernel::Gemm, AttentionKernel::Softmax] {
-            let stats = access.simulate_with_registry(
-                kernel,
-                temporal,
-                spec,
-                self.cache_probes,
-                &self.registry,
-            );
+            let stats = access.simulate_detached(kernel, temporal, spec, self.cache_probes);
             total.l1.accesses += stats.l1.accesses;
             total.l1.hits += stats.l1.hits;
             total.l2.accesses += stats.l2.accesses;
             total.l2.hits += stats.l2.hits;
         }
         total
+    }
+}
+
+/// The event for the op at `node`, costed by `entry`.
+fn event(index: usize, node: &Node, entry: &OpCostEntry) -> OpEvent {
+    let attention = node.op.attention_shape().map(|(shape, kind)| AttnCallInfo {
+        kind,
+        seq_q: shape.seq_q,
+        seq_kv: shape.seq_kv,
+        batch: shape.batch,
+        heads: shape.heads,
+    });
+    OpEvent {
+        index,
+        path: node.path.clone(),
+        category: node.op.category(),
+        time_s: entry.time_s,
+        flops: entry.flops,
+        hbm_bytes: entry.hbm_bytes,
+        energy_j: entry.energy_j,
+        kernels: Arc::clone(&entry.records),
+        attention,
+        counters: Arc::clone(&entry.visible),
     }
 }
 

@@ -14,22 +14,32 @@
 //!   attention ops), and the [device fingerprint]
 //!   (mmg_gpu::DeviceSpec::fingerprint).
 //! - The [`OpCostEntry`] stores the op's timeline contribution *and* the
-//!   exact telemetry counter deltas a live execution produces, so a memo
-//!   hit can replay them and leave the registry bit-identical to a cold
-//!   run — the property test in `tests/proptest_memo.rs` holds the two
-//!   paths to byte equality.
+//!   exact telemetry counter deltas its execution charges. The profiler
+//!   records every op — freshly computed or found here — by applying its
+//!   entry, so a hit leaves the registry bit-identical to a cold run; the
+//!   property test in `tests/proptest_memo.rs` holds the paths to byte
+//!   equality.
 //!
-//! The map itself is a [`ShardedLru`], safe to share across the worker
+//! On top of the per-op map sits a *stage tier*: whole graphs keyed by
+//! [`Graph::fingerprint`](mmg_graph::Graph::fingerprint) plus the
+//! profiler configuration. A stage entry is the graph's list of shared
+//! per-op entries with their counter deltas and kernel-time histogram
+//! buckets summed in advance, so profiling a graph a second time — the
+//! next denoising step's UNet, the baseline and flash runs of a speedup
+//! table — replays it without one lookup per op.
+//!
+//! Both maps are [`ShardedLru`]s, safe to share across the worker
 //! threads of a parallel experiment sweep.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 use mmg_attn::AttnImpl;
 use mmg_gpu::{HierarchyStats, ShardedLru};
 use mmg_graph::optimize::{OptConfig, OptStats};
 use mmg_graph::Op;
 use mmg_kernels::conv::ConvAlgorithm;
+use mmg_telemetry::Histogram;
 
 use crate::KernelRecord;
 
@@ -86,11 +96,11 @@ impl MemoKey {
     }
 }
 
-/// Everything a memo hit must reproduce about an operator's execution.
+/// Everything the profiler records about an operator's execution.
 ///
-/// The per-kernel records and the visible delta list are behind `Arc`s
-/// so the replay fast path can hand them to [`crate::OpEvent`]s and
-/// span records by reference count — a 50-step denoising loop replays
+/// The per-kernel records and the delta lists are behind `Arc`s so the
+/// record path can hand them to [`crate::OpEvent`]s and span records by
+/// reference count — a 50-step denoising loop replays
 /// the same UNet entries hundreds of thousands of times, and deep-
 /// cloning the string-heavy vectors each hit dominated replay cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,18 +115,20 @@ pub struct OpCostEntry {
     pub hbm_bytes: u64,
     /// Per-kernel records, in launch order.
     pub records: Arc<Vec<KernelRecord>>,
-    /// Every counter a live execution of this op touches, as
+    /// Every counter an execution of this op touches, as
     /// `(full metric name, delta)` sorted the way
     /// [`mmg_telemetry::CounterSnapshot::delta_since`] sorts them.
-    /// Zero deltas are *kept*: replay applies them so counters the live
-    /// path would create at zero (e.g. `kernel_flops_total` of a copy
-    /// kernel) exist in the registry; event/span attribution filters
-    /// them out via [`OpCostEntry::visible`].
-    pub counter_deltas: Vec<(String, u64)>,
+    /// Zero deltas are *kept*: recording applies them so counters a
+    /// kernel-by-kernel execution registers at zero (e.g.
+    /// `kernel_flops_total` of a copy kernel) exist in the registry;
+    /// event/span attribution filters them out via
+    /// [`OpCostEntry::visible`].
+    pub counter_deltas: Arc<Vec<(String, u64)>>,
     /// The non-zero subset of `counter_deltas`, in the exact form
     /// [`mmg_telemetry::CounterSnapshot::delta_since`] reports —
-    /// precomputed once at store time so replay attaches it to events
-    /// and spans without filtering or cloning.
+    /// precomputed once (the same `Arc` when no delta is zero) so
+    /// recording attaches it to events and spans without filtering or
+    /// cloning.
     pub visible: Arc<Vec<(String, u64)>>,
 }
 
@@ -132,9 +144,72 @@ impl OpCostEntry {
         records: Arc<Vec<KernelRecord>>,
         counter_deltas: Vec<(String, u64)>,
     ) -> Self {
-        let visible =
-            Arc::new(counter_deltas.iter().filter(|(_, d)| *d > 0).cloned().collect::<Vec<_>>());
+        let counter_deltas = Arc::new(counter_deltas);
+        let visible = if counter_deltas.iter().all(|(_, d)| *d > 0) {
+            Arc::clone(&counter_deltas)
+        } else {
+            Arc::new(counter_deltas.iter().filter(|(_, d)| *d > 0).cloned().collect())
+        };
         OpCostEntry { time_s, energy_j, flops, hbm_bytes, records, counter_deltas, visible }
+    }
+}
+
+/// Canonical identity of one whole-graph profile: the op sequence (by
+/// fingerprint and length) under every profiler knob a [`MemoKey`]
+/// carries, un-normalized.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct StageKey {
+    pub(crate) ops: u128,
+    pub(crate) len: usize,
+    pub(crate) attn: AttnImpl,
+    pub(crate) elem_bytes: usize,
+    pub(crate) conv_algo: ConvAlgorithm,
+    pub(crate) cache_probes: usize,
+    pub(crate) opt: OptConfig,
+    pub(crate) device_fingerprint: u64,
+}
+
+/// One profiled graph, ready to replay in one step.
+#[derive(Debug)]
+pub(crate) struct StageEntry {
+    /// The per-op entries, in graph order (shared with the op tier).
+    pub(crate) ops: Vec<Arc<OpCostEntry>>,
+    /// Every op's `counter_deltas` summed per counter, zero sums kept
+    /// so replay creates each counter the per-op path would.
+    pub(crate) counter_deltas: Arc<Vec<(String, u64)>>,
+    /// `gpu_kernel_time_us` bucket counts of every kernel
+    /// ([`Histogram::tally`] layout).
+    pub(crate) kernel_buckets: Vec<u64>,
+    /// Draw of the graph's last kernel: the power gauge's final value.
+    pub(crate) last_draw_w: Option<f64>,
+}
+
+impl StageEntry {
+    /// Sums `ops`' deltas and kernel-time buckets (tallied with
+    /// `kernel_time_us`'s edges). Each distinct entry is summed once and
+    /// scaled by its multiplicity: a stage repeats a few blocks many
+    /// times. Sums wrap like the registry's atomic adds.
+    pub(crate) fn new(ops: Vec<Arc<OpCostEntry>>, kernel_time_us: &Histogram) -> Self {
+        let mut distinct: HashMap<*const OpCostEntry, (&OpCostEntry, u64)> = HashMap::new();
+        for e in &ops {
+            distinct.entry(Arc::as_ptr(e)).or_insert((e, 0)).1 += 1;
+        }
+        let mut deltas: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut kernel_buckets = kernel_time_us.tally([]);
+        for (e, n) in distinct.into_values() {
+            for (name, d) in e.counter_deltas.iter() {
+                let sum = deltas.entry(name).or_default();
+                *sum = sum.wrapping_add(d.wrapping_mul(n));
+            }
+            let tally = kernel_time_us.tally(e.records.iter().map(|k| k.time_s * 1e6));
+            for (b, c) in kernel_buckets.iter_mut().zip(tally) {
+                *b += c * n;
+            }
+        }
+        let counter_deltas =
+            Arc::new(deltas.into_iter().map(|(name, d)| (name.to_string(), d)).collect());
+        let last_draw_w = ops.iter().rev().find_map(|e| e.records.last()).map(|k| k.draw_w);
+        StageEntry { ops, counter_deltas, kernel_buckets, last_draw_w }
     }
 }
 
@@ -142,6 +217,10 @@ impl OpCostEntry {
 #[derive(Debug)]
 pub struct CostMemo {
     lru: ShardedLru<MemoKey, OpCostEntry>,
+    /// The stage tier, created by its first insert so a fresh memo stays
+    /// one allocation.
+    stages: OnceLock<ShardedLru<StageKey, StageEntry>>,
+    stage_capacity: usize,
 }
 
 impl Default for CostMemo {
@@ -156,6 +235,10 @@ impl CostMemo {
     /// while still bounding a pathological sweep.
     const DEFAULT_CAPACITY: usize = 1 << 16;
 
+    /// Stage-tier capacity. A stage entry is a pointer per op plus its
+    /// summed deltas; the op entries it points at are shared.
+    const STAGE_CAPACITY: usize = 1 << 10;
+
     /// A memo with the default capacity.
     #[must_use]
     pub fn new() -> Self {
@@ -166,7 +249,11 @@ impl CostMemo {
     /// shard beyond that).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        CostMemo { lru: ShardedLru::new(capacity) }
+        CostMemo {
+            lru: ShardedLru::new(capacity),
+            stages: OnceLock::new(),
+            stage_capacity: CostMemo::STAGE_CAPACITY.min(capacity),
+        }
     }
 
     /// Looks up an entry, refreshing its recency.
@@ -175,9 +262,25 @@ impl CostMemo {
         self.lru.get(key)
     }
 
-    /// Stores an entry computed by a miss path.
-    pub fn store(&self, key: MemoKey, entry: OpCostEntry) {
-        let _ = self.lru.insert(key, entry);
+    /// Stores an entry computed by a miss path, returning the shared copy.
+    pub fn store(&self, key: MemoKey, entry: OpCostEntry) -> Arc<OpCostEntry> {
+        self.lru.insert(key, entry)
+    }
+
+    /// Looks up a whole graph. A hit counts as one op-tier hit per op of
+    /// the graph, so [`CostMemo::hits`] and [`CostMemo::misses`] read as
+    /// if every op had been looked up; a miss counts nothing (the ops are
+    /// looked up next).
+    pub(crate) fn lookup_stage(&self, key: &StageKey) -> Option<Arc<StageEntry>> {
+        let stage = self.stages.get()?.get(key)?;
+        self.lru.credit_hits(key.len as u64);
+        Some(stage)
+    }
+
+    /// Stores a whole graph's entry after its ops were profiled.
+    pub(crate) fn store_stage(&self, key: StageKey, entry: StageEntry) {
+        let stages = self.stages.get_or_init(|| ShardedLru::new(self.stage_capacity));
+        let _ = stages.insert(key, entry);
     }
 
     /// Lookups served from the memo.
@@ -198,7 +301,7 @@ impl CostMemo {
         self.lru.hit_rate()
     }
 
-    /// Distinct entries resident.
+    /// Distinct op entries resident.
     #[must_use]
     pub fn len(&self) -> usize {
         self.lru.len()
@@ -213,81 +316,141 @@ impl CostMemo {
     /// Drops all entries and statistics (e.g. between benchmark phases).
     pub fn clear(&self) {
         self.lru.clear();
+        if let Some(stages) = self.stages.get() {
+            stages.clear();
+        }
     }
 }
 
-/// Reconstructs, without touching a registry, the counter-delta list for
-/// one op executed in isolation: the timing-engine counters, the
-/// per-kind kernel counters, and (for attention ops with cache
-/// simulation) the L1/L2 counters. Sorted by `(name, labels)` exactly
-/// like the snapshot machinery; zero deltas are kept so replay can
-/// recreate counters the live path registers at zero (the
-/// `delta_since`-equivalent filtered form lives in
+/// The counter deltas one op's execution charges — the timing-engine
+/// counters, the per-kind kernel counters, the optimization-pass
+/// counters and (for attention ops with cache simulation) the L1/L2
+/// counters — computed without touching a registry; the executor's one
+/// record path applies them. Sorted by `(name, labels)` like
+/// [`mmg_telemetry::CounterSnapshot::delta_since`]; zero deltas are
+/// kept so recording creates every counter a kernel-by-kernel execution
+/// registers at zero (the filtered form lives in
 /// [`OpCostEntry::visible`]).
 pub(crate) fn synthetic_op_deltas(
     records: &[KernelRecord],
     cache: Option<HierarchyStats>,
     opt_stats: OptStats,
 ) -> Vec<(String, u64)> {
-    let mut map: BTreeMap<(String, String), u64> = BTreeMap::new();
-    let mut bump = |name: &str, labels: String, delta: u64| {
-        *map.entry((name.to_string(), labels)).or_default() += delta;
-    };
-    // Pass counters follow the live guard: created only on a non-zero
-    // charge (see `record_opt_stats` in the executor).
-    if opt_stats.kernels_fused > 0 {
-        bump("kernel_fused_total", String::new(), opt_stats.kernels_fused);
+    /// One kernel kind's share of an op's labelled counters.
+    struct KindTotals<'r> {
+        kind: &'r str,
+        launches: u64,
+        flops: u64,
+        hbm_bytes: u64,
+        energy_uj: u64,
+        compute_bound: u64,
+        memory_bound: u64,
     }
-    if opt_stats.launches_elided > 0 {
-        bump("kernel_launches_elided_total", String::new(), opt_stats.launches_elided);
-    }
-    if opt_stats.hbm_bytes_saved > 0 {
-        bump("kernel_opt_hbm_bytes_saved_total", String::new(), opt_stats.hbm_bytes_saved);
-    }
+    let mut kinds: Vec<KindTotals> = Vec::new();
+    let (mut launches, mut flops, mut hbm_bytes, mut energy_uj) = (0u64, 0u64, 0u64, 0u64);
+    let (mut compute_bound, mut memory_bound, mut idle_slots) = (0u64, 0u64, 0u64);
     for k in records {
-        let memory_bound = k.memory_s > k.compute_s;
-        // Live recording creates this counter only on a non-zero charge
-        // (`record_kernel` guards the add), so mirror that here rather
-        // than emitting a zero-valued creation directive.
-        if k.wave_quant_idle_slots > 0 {
-            bump("gpu_wave_quant_idle_slots_total", String::new(), k.wave_quant_idle_slots);
-        }
-        bump("gpu_kernel_launches_total", String::new(), 1);
-        bump("gpu_flops_total", String::new(), k.flops);
-        bump("gpu_hbm_bytes_total", String::new(), k.hbm_bytes);
-        // Energy is bumped unconditionally live (the counter exists even
-        // for a zero-quantum kernel), so keep the zero here too.
-        bump("gpu_energy_uj_total", String::new(), mmg_gpu::quantize_uj(k.energy_j));
-        let regime = if memory_bound {
-            bump("gpu_kernels_memory_bound_total", String::new(), 1);
-            "memory"
-        } else {
-            bump("gpu_kernels_compute_bound_total", String::new(), 1);
-            "compute"
+        let uj = mmg_gpu::quantize_uj(k.energy_j);
+        let memory = k.memory_s > k.compute_s;
+        launches += 1;
+        flops += k.flops;
+        hbm_bytes += k.hbm_bytes;
+        energy_uj += uj;
+        idle_slots += k.wave_quant_idle_slots;
+        let i = match kinds.iter().position(|t| t.kind == k.kind) {
+            Some(i) => i,
+            None => {
+                kinds.push(KindTotals {
+                    kind: &k.kind,
+                    launches: 0,
+                    flops: 0,
+                    hbm_bytes: 0,
+                    energy_uj: 0,
+                    compute_bound: 0,
+                    memory_bound: 0,
+                });
+                kinds.len() - 1
+            }
         };
-        let kind_label = format!("kind=\"{}\"", k.kind);
-        bump("kernel_launches_total", kind_label.clone(), 1);
-        bump("kernel_flops_total", kind_label.clone(), k.flops);
-        bump("kernel_hbm_bytes_total", kind_label.clone(), k.hbm_bytes);
-        bump("kernel_energy_uj_total", kind_label.clone(), mmg_gpu::quantize_uj(k.energy_j));
-        bump(
-            "kernel_regime_total",
-            format!("kind=\"{}\",regime=\"{regime}\"", k.kind),
-            1,
-        );
+        let t = &mut kinds[i];
+        t.launches += 1;
+        t.flops += k.flops;
+        t.hbm_bytes += k.hbm_bytes;
+        t.energy_uj += uj;
+        if memory {
+            memory_bound += 1;
+            t.memory_bound += 1;
+        } else {
+            compute_bound += 1;
+            t.compute_bound += 1;
+        }
+    }
+
+    // (name, full name, delta); a counter is listed iff the execution
+    // touches it, so some zero deltas stay (see the doc comment).
+    let mut out: Vec<(&'static str, String, u64)> = Vec::new();
+    let mut plain = |name: &'static str, delta: u64| out.push((name, name.to_string(), delta));
+    // Pass and idle-slot counters exist only once something charged them.
+    for (name, delta) in [
+        ("kernel_fused_total", opt_stats.kernels_fused),
+        ("kernel_launches_elided_total", opt_stats.launches_elided),
+        ("kernel_opt_hbm_bytes_saved_total", opt_stats.hbm_bytes_saved),
+        ("gpu_wave_quant_idle_slots_total", idle_slots),
+    ] {
+        if delta > 0 {
+            plain(name, delta);
+        }
+    }
+    if launches > 0 {
+        plain("gpu_kernel_launches_total", launches);
+        plain("gpu_flops_total", flops);
+        plain("gpu_hbm_bytes_total", hbm_bytes);
+        // Energy is charged even for a zero-quantum kernel.
+        plain("gpu_energy_uj_total", energy_uj);
+    }
+    if memory_bound > 0 {
+        plain("gpu_kernels_memory_bound_total", memory_bound);
+    }
+    if compute_bound > 0 {
+        plain("gpu_kernels_compute_bound_total", compute_bound);
     }
     if let Some(stats) = cache {
-        bump("gpu_l1_accesses_total", String::new(), stats.l1.accesses);
-        bump("gpu_l1_hits_total", String::new(), stats.l1.hits);
-        bump("gpu_l2_accesses_total", String::new(), stats.l2.accesses);
-        bump("gpu_l2_hits_total", String::new(), stats.l2.hits);
+        plain("gpu_l1_accesses_total", stats.l1.accesses);
+        plain("gpu_l1_hits_total", stats.l1.hits);
+        plain("gpu_l2_accesses_total", stats.l2.accesses);
+        plain("gpu_l2_hits_total", stats.l2.hits);
     }
-    map.into_iter()
-        .map(|((name, labels), v)| {
-            let full = if labels.is_empty() { name } else { format!("{name}{{{labels}}}") };
-            (full, v)
-        })
-        .collect()
+    let labelled = |name: &'static str, kind: &str, regime: &str| {
+        let mut full = String::with_capacity(name.len() + kind.len() + regime.len() + 20);
+        full.push_str(name);
+        full.push_str("{kind=\"");
+        full.push_str(kind);
+        if !regime.is_empty() {
+            full.push_str("\",regime=\"");
+            full.push_str(regime);
+        }
+        full.push_str("\"}");
+        full
+    };
+    for t in &kinds {
+        for (name, delta) in [
+            ("kernel_launches_total", t.launches),
+            ("kernel_flops_total", t.flops),
+            ("kernel_hbm_bytes_total", t.hbm_bytes),
+            ("kernel_energy_uj_total", t.energy_uj),
+        ] {
+            out.push((name, labelled(name, t.kind, ""), delta));
+        }
+        for (regime, delta) in [("compute", t.compute_bound), ("memory", t.memory_bound)] {
+            if delta > 0 {
+                let name = "kernel_regime_total";
+                out.push((name, labelled(name, t.kind, regime), delta));
+            }
+        }
+    }
+    // The registry's order: by name, then by rendered labels.
+    out.sort_unstable_by(|a, b| (a.0, &a.1[a.0.len()..]).cmp(&(b.0, &b.1[b.0.len()..])));
+    out.into_iter().map(|(_, full, delta)| (full, delta)).collect()
 }
 
 #[cfg(test)]
@@ -386,58 +549,103 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_deltas_match_live_recording() {
-        // Drive the real per-kernel counter paths (timing engine +
-        // record_kernel) on a fresh registry, building records from the
-        // engine's own outputs, and check the synthetic list reproduces
-        // the snapshot deltas byte for byte.
-        let costs = [
-            // Compute-bound GEMM.
-            ("gemm", mmg_gpu::KernelCost { flops: 1 << 34, hbm_bytes: 1 << 20, compute_eff: 0.9, memory_eff: 0.9 }),
-            // Memory-bound softmax.
-            ("softmax", mmg_gpu::KernelCost { flops: 100, hbm_bytes: 1 << 24, compute_eff: 1.0, memory_eff: 0.8 }),
-            // Zero-FLOP copy: kernel_flops_total{kind="memcpy"} must be omitted.
-            ("memcpy", mmg_gpu::KernelCost::memory_only(4096, 0.9)),
-        ];
+    fn stage_tier_serves_repeat_graphs_and_keys_on_ops() {
+        let memo = Arc::new(CostMemo::new());
+        let profiler = crate::Profiler::with_registry(
+            mmg_gpu::DeviceSpec::a100_80gb(),
+            AttnImpl::Flash,
+            &mmg_telemetry::Registry::new(),
+        )
+        .with_memo(Arc::clone(&memo));
+        let graph = |last_out: usize| {
+            let mut g = mmg_graph::Graph::new();
+            g.push("a", linear());
+            g.push("b", Op::Linear { tokens: 64, in_features: 128, out_features: last_out });
+            g
+        };
+        let stage = |m: &CostMemo| m.stages.get().map_or((0, 0), |s| (s.hits(), s.len()));
+        assert!(memo.stages.get().is_none(), "the stage tier is empty until its first insert");
+        let _ = profiler.profile(&graph(256));
+        assert_eq!(stage(&memo), (0, 1));
+        let _ = profiler.profile(&graph(256));
+        assert_eq!(stage(&memo), (1, 1), "a repeat graph is a stage hit");
+        assert_eq!((memo.hits(), memo.misses()), (3, 1), "a stage hit credits one hit per op");
+        let _ = profiler.profile(&graph(512));
+        assert_eq!(stage(&memo), (1, 2), "a graph differing in one op gets its own stage");
+    }
+
+    #[test]
+    fn synthetic_deltas_match_recorded_counters() {
+        // Profile single-op graphs covering a compute-bound GEMM, a
+        // memory-bound softmax (baseline attention, cache-simulated),
+        // wave-quantized and zero-FLOP kernels through the record path
+        // on a fresh registry. The registry's own delta must be exactly
+        // the event's attribution, and each counter must equal the sum an
+        // independent kernel-by-kernel charge of the records gives.
         let registry = mmg_telemetry::Registry::new();
-        let engine =
-            mmg_gpu::TimingEngine::with_registry(mmg_gpu::DeviceSpec::a100_80gb(), &registry);
-        let snap = registry.counters_snapshot();
-        let mut records = Vec::new();
-        for (kind, cost) in &costs {
-            let t = engine.kernel_time(cost);
-            mmg_kernels::record_kernel_named(
-                &registry,
-                kind,
-                cost.flops,
-                cost.hbm_bytes,
-                mmg_gpu::quantize_uj(t.energy_j),
-                t.is_memory_bound(),
-                7,
-            );
-            records.push(KernelRecord {
-                kind: (*kind).to_string(),
-                label: format!("{kind}_test"),
-                time_s: t.total_s,
-                compute_s: t.compute_s,
-                memory_s: t.memory_s,
-                flops: cost.flops,
-                hbm_bytes: cost.hbm_bytes,
-                wave_quant_idle_slots: 7,
-                draw_w: t.draw_w,
-                energy_j: t.energy_j,
-            });
+        let profiler = crate::Profiler::with_registry(
+            mmg_gpu::DeviceSpec::a100_80gb(),
+            AttnImpl::Baseline,
+            &registry,
+        )
+        .with_cache_sim(4096);
+        let ops = [
+            Op::Attention {
+                shape: AttentionShape::self_attn(2, 8, 1024, 64),
+                kind: AttnKind::SpatialSelf,
+            },
+            Op::Linear { tokens: 4097, in_features: 1280, out_features: 5120 },
+            Op::Memcpy { bytes: 1 << 20, amplification: 1.0 },
+            Op::LayerNorm { rows: 4096, cols: 1024 },
+        ];
+        let mut saw_zero_flop_kernel = false;
+        for op in ops {
+            let is_attention = matches!(op, Op::Attention { .. });
+            let mut g = mmg_graph::Graph::new();
+            g.push("op", op);
+            let snap = registry.counters_snapshot();
+            let t = profiler.profile(&g);
+            let live = snap.delta_since(&registry);
+            let ev = &t.events()[0];
+            assert_eq!(live, *ev.counters, "{:?}", ev.path);
+
+            let mut expect: BTreeMap<String, u64> = BTreeMap::new();
+            let mut charge = |name: String, delta: u64| {
+                if delta > 0 {
+                    *expect.entry(name).or_default() += delta;
+                }
+            };
+            for k in ev.kernels.iter() {
+                let kind = &k.kind;
+                let regime = if k.memory_s > k.compute_s { "memory" } else { "compute" };
+                let uj = mmg_gpu::quantize_uj(k.energy_j);
+                charge("gpu_kernel_launches_total".into(), 1);
+                charge("gpu_flops_total".into(), k.flops);
+                charge("gpu_hbm_bytes_total".into(), k.hbm_bytes);
+                charge("gpu_energy_uj_total".into(), uj);
+                charge(format!("gpu_kernels_{regime}_bound_total"), 1);
+                charge("gpu_wave_quant_idle_slots_total".into(), k.wave_quant_idle_slots);
+                charge(format!("kernel_launches_total{{kind=\"{kind}\"}}"), 1);
+                charge(format!("kernel_flops_total{{kind=\"{kind}\"}}"), k.flops);
+                charge(format!("kernel_hbm_bytes_total{{kind=\"{kind}\"}}"), k.hbm_bytes);
+                charge(format!("kernel_energy_uj_total{{kind=\"{kind}\"}}"), uj);
+                charge(format!("kernel_regime_total{{kind=\"{kind}\",regime=\"{regime}\"}}"), 1);
+                saw_zero_flop_kernel |= k.flops == 0;
+            }
+            let cache: Vec<_> =
+                live.iter().filter(|(n, _)| n.starts_with("gpu_l")).cloned().collect();
+            assert_eq!(!cache.is_empty(), is_attention);
+            expect.extend(cache);
+            let expect: Vec<_> = expect.into_iter().collect();
+            let mut sorted_live = live.clone();
+            sorted_live.sort();
+            assert_eq!(sorted_live, expect, "{:?}", ev.path);
         }
-        let live = snap.delta_since(&registry);
-        let synthetic = synthetic_op_deltas(&records, None, OptStats::default());
-        let visible: Vec<_> =
-            synthetic.iter().filter(|(_, d)| *d > 0).cloned().collect();
-        assert_eq!(visible, live);
-        // The zero-FLOP copy keeps its counter in the unfiltered list so
-        // replay can create it.
-        assert!(synthetic
-            .iter()
-            .any(|(n, d)| n == "kernel_flops_total{kind=\"memcpy\"}" && *d == 0));
+        assert!(saw_zero_flop_kernel);
+        // Counters charged zero still exist, as a kernel-by-kernel charge
+        // registers them: the memcpy kernel's FLOP counter.
+        assert!(registry.render_prometheus().contains("kernel_flops_total{kind=\"memcpy\"} 0"));
+        assert!(registry.counter("gpu_wave_quant_idle_slots_total").get() > 0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! [`mmg_profiler::KernelRecord`]s and [`mmg_profiler::OpEvent`]s,
 //! identical per-op span attribution, and a byte-identical Prometheus
 //! rendering of the registry — whether entries are computed cold,
-//! replayed within one run, or replayed from a previous run's memo.
+//! replayed within one run, or replayed from a previous run's memo op by
+//! op or as a whole stage; at top level or under an open parent span;
+//! with or without a module hook watching.
 
 use std::sync::Arc;
 
@@ -14,7 +16,7 @@ use mmg_attn::{AttentionShape, AttnImpl};
 use mmg_gpu::DeviceSpec;
 use mmg_graph::optimize::{ElemWidth, OptConfig};
 use mmg_graph::{AttnKind, Graph, Op};
-use mmg_profiler::{CostMemo, Profiler, Timeline};
+use mmg_profiler::{CostMemo, CountingHook, Profiler, Timeline};
 use mmg_telemetry::Registry;
 use proptest::prelude::*;
 
@@ -93,11 +95,33 @@ fn opt_from_seed(seed: u64) -> OptConfig {
     }
 }
 
+/// How a profile call is made: at top level or under an open parent
+/// span, with or without a [`CountingHook`].
+#[derive(Debug, Clone, Copy)]
+struct Mode {
+    parent_span: bool,
+    hook: bool,
+}
+
+const PLAIN: Mode = Mode { parent_span: false, hook: false };
+const MODES: [Mode; 3] =
+    [PLAIN, Mode { parent_span: true, hook: false }, Mode { parent_span: false, hook: true }];
+
 fn profile(
     g: &Graph,
     attn: AttnImpl,
     opt: OptConfig,
     memo: Option<Arc<CostMemo>>,
+) -> (Timeline, Registry) {
+    profile_in(g, attn, opt, memo, PLAIN)
+}
+
+fn profile_in(
+    g: &Graph,
+    attn: AttnImpl,
+    opt: OptConfig,
+    memo: Option<Arc<CostMemo>>,
+    mode: Mode,
 ) -> (Timeline, Registry) {
     let registry = Registry::new();
     let mut p = Profiler::with_registry(DeviceSpec::a100_80gb(), attn, &registry)
@@ -106,7 +130,74 @@ fn profile(
     if let Some(memo) = memo {
         p = p.with_memo(memo);
     }
-    (p.profile(g), registry)
+    let parent = mode.parent_span.then(|| registry.span("parent"));
+    let t = if mode.hook {
+        let mut hook = CountingHook::default();
+        let t = p.profile_with_hooks(g, &mut [&mut hook]);
+        // The hook sees every op, once, with the event's path.
+        let mut seen = hook.counts().clone();
+        for e in t.events() {
+            let n = seen.get_mut(&e.path).expect("hook saw the op");
+            *n -= 1;
+        }
+        assert!(seen.values().all(|&n| n == 0), "hook counts differ from the events");
+        t
+    } else {
+        p.profile(g)
+    };
+    drop(parent);
+    (t, registry)
+}
+
+/// Profiles `g` cold, then through a fresh memo three times — the first
+/// run misses each distinct op once and replays its repeats, the second
+/// and third are whole-stage hits — checking each against the cold run.
+fn check_memo_paths(g: &Graph, attn: AttnImpl, opt: OptConfig, mode: Mode) {
+    let label = |run: &str| format!("{run} ({mode:?})");
+    let cold = profile_in(g, attn, opt, None, mode);
+    let memo = Arc::new(CostMemo::new());
+    let first = profile_in(g, attn, opt, Some(Arc::clone(&memo)), mode);
+    let n = g.len() as u64;
+    assert_eq!(memo.hits() + memo.misses(), n, "{}: one lookup per op", label("intra-run"));
+    // `graph_of` walks every op twice, so at least the second walk hits.
+    assert!(memo.hits() >= n / 2, "{}: repeated ops must hit", label("intra-run"));
+    assert!(memo.misses() > 0, "{}: distinct ops must miss", label("intra-run"));
+    assert_identical(&label("intra-run"), &cold, &first);
+    for run in ["warm stage", "third stage"] {
+        let (hits, misses) = (memo.hits(), memo.misses());
+        let warm = profile_in(g, attn, opt, Some(Arc::clone(&memo)), mode);
+        assert_eq!(memo.hits(), hits + n, "{}: one op hit per op", label(run));
+        assert_eq!(memo.misses(), misses, "{}: no misses", label(run));
+        assert_identical(&label(run), &cold, &warm);
+    }
+}
+
+/// `g` with every path renamed: the same op sequence.
+fn renamed(g: &Graph) -> Graph {
+    let mut r = Graph::new();
+    for n in g.nodes() {
+        r.push(format!("renamed.{}", n.path), n.op.clone());
+    }
+    r
+}
+
+/// `g` with its last op replaced by a different one.
+fn last_op_changed(g: &Graph) -> Graph {
+    let last = g.len() - 1;
+    let mut r = Graph::new();
+    for (i, n) in g.nodes().iter().enumerate() {
+        let mut op = n.op.clone();
+        if i == last {
+            op = match op {
+                Op::Memcpy { bytes, amplification } => {
+                    Op::Memcpy { bytes: bytes + 1, amplification }
+                }
+                _ => Op::Memcpy { bytes: 4096, amplification: 1.0 },
+            };
+        }
+        r.push(n.path.clone(), op);
+    }
+    r
 }
 
 fn assert_identical(
@@ -139,11 +230,24 @@ fn assert_identical(
     }
 }
 
+/// A stage hit over a few hundred ops of mixed magnitudes still leaves
+/// the kernel-time histogram's f64 sum bitwise equal to the cold run's,
+/// which takes summing in launch order.
+#[test]
+fn large_stage_replay_is_bit_identical() {
+    let seeds: Vec<u64> = (0..96u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+    let g = graph_of(&seeds);
+    for (attn, opt_seed) in [(AttnImpl::Baseline, 0), (AttnImpl::Flash, 47)] {
+        check_memo_paths(&g, attn, opt_from_seed(opt_seed), PLAIN);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cold, intra-run-memoized, and warm-memoized profiling all agree,
-    /// under any combination of optimization passes.
+    /// Cold, intra-run-memoized, and warm-memoized (whole-stage)
+    /// profiling all agree, under any combination of optimization
+    /// passes, at top level, under a parent span and with a hook.
     #[test]
     fn memoized_profiling_is_bit_identical(
         seeds in proptest::collection::vec(0u64..u64::MAX, 1..5),
@@ -153,24 +257,45 @@ proptest! {
         let attn = if flash == 1 { AttnImpl::Flash } else { AttnImpl::Baseline };
         let opt = opt_from_seed(opt_seed);
         let g = graph_of(&seeds);
-        let cold = profile(&g, attn, opt, None);
+        for mode in MODES {
+            check_memo_paths(&g, attn, opt, mode);
+        }
+    }
 
-        // First memoized run: every distinct op misses once (pass 0) and
-        // hits on repetition (pass 1).
+    /// The stage tier keys on the op sequence alone: a graph with the same
+    /// ops under other paths replays the stage with its own paths, and a
+    /// graph differing in one late op never shares the entry.
+    #[test]
+    fn stage_tier_keys_on_ops_and_keeps_live_paths(
+        seeds in proptest::collection::vec(0u64..u64::MAX, 1..5),
+        flash in 0usize..2,
+        opt_seed in 0u64..48,
+    ) {
+        let attn = if flash == 1 { AttnImpl::Flash } else { AttnImpl::Baseline };
+        let opt = opt_from_seed(opt_seed);
+        let g = graph_of(&seeds);
         let memo = Arc::new(CostMemo::new());
-        let first = profile(&g, attn, opt, Some(Arc::clone(&memo)));
-        prop_assert!(memo.hits() >= seeds.len() as u64, "second pass must hit");
-        assert_identical("intra-run", &cold, &first);
+        let _ = profile(&g, attn, opt, Some(Arc::clone(&memo)));
 
-        // Second run against the warm memo: pure replay.
-        let hits_before = memo.hits();
-        let warm = profile(&g, attn, opt, Some(Arc::clone(&memo)));
-        prop_assert_eq!(
-            memo.hits(),
-            hits_before + g.len() as u64,
-            "warm run must be all hits"
-        );
-        assert_identical("warm", &cold, &warm);
+        let r = renamed(&g);
+        prop_assert_eq!(r.fingerprint(), g.fingerprint(), "paths do not enter the key");
+        let (hits, misses) = (memo.hits(), memo.misses());
+        let replayed = profile(&r, attn, opt, Some(Arc::clone(&memo)));
+        prop_assert_eq!(memo.hits(), hits + g.len() as u64, "renamed graph replays");
+        prop_assert_eq!(memo.misses(), misses);
+        assert_identical("renamed", &profile(&r, attn, opt, None), &replayed);
+
+        // Sharing `g`'s stage would replay `g`'s last op, whose counters
+        // differ, so the comparison against a cold run catches it.
+        let d = last_op_changed(&g);
+        prop_assert_ne!(d.fingerprint(), g.fingerprint());
+        let changed = profile(&d, attn, opt, Some(Arc::clone(&memo)));
+        assert_identical("changed", &profile(&d, attn, opt, None), &changed);
+        // And both stages now replay their own graphs.
+        assert_identical("changed again", &profile(&d, attn, opt, None),
+            &profile(&d, attn, opt, Some(Arc::clone(&memo))));
+        assert_identical("original again", &profile(&g, attn, opt, None),
+            &profile(&g, attn, opt, Some(Arc::clone(&memo))));
     }
 
     /// Energy conservation, bit for bit: every op's joules are exactly

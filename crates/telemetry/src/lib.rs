@@ -116,6 +116,44 @@ impl Histogram {
         inner.sum_bits.store((cur + v).to_bits(), Ordering::Relaxed);
     }
 
+    /// Per-bucket counts `values` would add: one entry per bucket edge
+    /// plus the overflow bucket, the layout
+    /// [`Histogram::observe_tallied`] takes.
+    #[must_use]
+    pub fn tally(&self, values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        let inner = &self.0;
+        let mut counts = vec![0u64; inner.buckets.len()];
+        for v in values {
+            counts[inner.edges.partition_point(|&edge| edge < v)] += 1;
+        }
+        counts
+    }
+
+    /// Records a batch whose bucket counts were computed in advance by
+    /// [`Histogram::tally`] on a histogram with the same edges. Bucket
+    /// counts and the observation count are added once; `values` are
+    /// still summed one at a time in order, so the sum is bitwise the
+    /// one [`Histogram::observe`] on each value would leave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` does not have one entry per bucket.
+    pub fn observe_tallied(&self, counts: &[u64], values: impl IntoIterator<Item = f64>) {
+        let inner = &self.0;
+        assert_eq!(counts.len(), inner.buckets.len(), "tally from a histogram with other edges");
+        let mut n = 0u64;
+        for (bucket, &c) in inner.buckets.iter().zip(counts) {
+            if c > 0 {
+                bucket.fetch_add(c, Ordering::Relaxed);
+                n += c;
+            }
+        }
+        inner.count.fetch_add(n, Ordering::Relaxed);
+        // Lone-writer sum update (same caveat as Gauge::add).
+        let sum = values.into_iter().fold(self.sum(), |acc, v| acc + v);
+        inner.sum_bits.store(sum.to_bits(), Ordering::Relaxed);
+    }
+
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -505,26 +543,14 @@ impl Registry {
         self.inner.epoch.elapsed().as_secs_f64() * 1e6
     }
 
-    /// Adds `deltas` — `(full metric name, increment)` pairs as produced
-    /// by [`CounterSnapshot::delta_since`] or found in
-    /// [`SpanRecord::counter_deltas`] — onto this registry's counters.
-    /// Full names round-trip exactly: `name{label="v"}` lands on the
-    /// counter registered as `counter_with("name", &[("label", "v")])`.
-    pub fn apply_counter_deltas(&self, deltas: &[(String, u64)]) {
-        let mut map = self.inner.counters.lock().expect("counter registry poisoned");
-        for (full, delta) in deltas {
-            let key = parse_full_name(full);
-            map.entry(key).or_default().fetch_add(*delta, Ordering::Relaxed);
-        }
-    }
-
     /// Resolves a full metric name — `name` or `name{label="v"}`, the
     /// form [`CounterSnapshot::delta_since`] reports — to its [`Counter`]
-    /// handle, creating the counter at zero if absent. Replay paths that
-    /// apply the same delta list many times resolve handles once with
-    /// this and then [`Counter::add`] lock-free, instead of paying
-    /// [`Registry::apply_counter_deltas`]'s registry lock and name parse
-    /// on every application.
+    /// handle, creating the counter at zero if absent. Full names round-
+    /// trip exactly: `name{label="v"}` lands on the counter registered as
+    /// `counter_with("name", &[("label", "v")])`. Replay paths that apply
+    /// the same delta list many times resolve handles once with this and
+    /// then [`Counter::add`] lock-free, instead of paying the registry
+    /// lock and name parse on every application.
     #[must_use]
     pub fn counter_handle(&self, full: &str) -> Counter {
         let key = parse_full_name(full);
@@ -896,6 +922,27 @@ mod tests {
     }
 
     #[test]
+    fn tallied_batch_matches_one_at_a_time() {
+        let edges = [1.0, 2.0, 4.0, 8.0];
+        // Summation order matters for these: a batch must add them in
+        // the order given, as one-at-a-time observation does.
+        let values = [0.1, 1.5, 3.3, 1e-16, 1e-16, 0.7, 9.0, 2.0, 1e-17, 7.9];
+        let (a, b) = (Registry::new(), Registry::new());
+        let single = a.histogram("t", &edges);
+        let batched = b.histogram("t", &edges);
+        single.observe(0.3);
+        batched.observe(0.3);
+        for v in values {
+            single.observe(v);
+        }
+        let counts = batched.tally(values);
+        assert_eq!(counts.len(), edges.len() + 1);
+        batched.observe_tallied(&counts, values);
+        assert_eq!(single.sum().to_bits(), batched.sum().to_bits());
+        assert_eq!(a.render_prometheus(), b.render_prometheus());
+    }
+
+    #[test]
     fn histogram_exact_quantile_on_point_mass() {
         let r = Registry::new();
         let h = r.histogram("x", &[10.0, 20.0]);
@@ -1106,16 +1153,21 @@ mod tests {
     }
 
     #[test]
-    fn apply_counter_deltas_round_trips_full_names() {
+    fn counter_handles_round_trip_full_names() {
         let r = Registry::new();
         r.counter("plain").add(3);
         r.counter_with("labelled", &[("kind", "gemm"), ("a", "b")]).add(2);
         let deltas = CounterSnapshot { values: vec![] }.delta_since(&r);
         let replay = Registry::new();
-        replay.apply_counter_deltas(&deltas);
+        let apply = || {
+            for (full, delta) in &deltas {
+                replay.counter_handle(full).add(*delta);
+            }
+        };
+        apply();
         assert_eq!(replay.counters_snapshot().values(), r.counters_snapshot().values());
         // Applying twice doubles, proving it lands on the same keys.
-        replay.apply_counter_deltas(&deltas);
+        apply();
         assert_eq!(replay.counter("plain").get(), 6);
         assert_eq!(replay.counter_with("labelled", &[("a", "b"), ("kind", "gemm")]).get(), 4);
     }
@@ -1127,7 +1179,7 @@ mod tests {
         let h = r.counter_handle("labelled{kind=\"gemm\"}");
         h.add(3);
         assert_eq!(r.counter_with("labelled", &[("kind", "gemm")]).get(), 5);
-        // Unknown names create the counter at zero, like apply_counter_deltas.
+        // Unknown names create the counter at zero.
         let created = r.counter_handle("fresh_total");
         assert_eq!(r.counter("fresh_total").get(), 0);
         created.inc();
