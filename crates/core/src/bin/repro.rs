@@ -51,7 +51,8 @@
 //! KV-cache ledger balanced against the SKU's HBM budget. Flags:
 //! `--model` (llama | parti | muse), `--gpus`, `--arrival`, `--rate`
 //! (default: `--util` × cluster capacity from the profiled curve),
-//! `--prompt-len` / `--output-len` (median tokens), `--kv-budget`
+//! `--prompt-len` / `--output-len` (median tokens, 16–8192 and 1–4096:
+//! the intervals samples are clamped to), `--kv-budget`
 //! (GiB/GPU; default HBM − weights), `--scheduler`
 //! (static | continuous), `--batch`, `--policy` (decode | prefill
 //! priority), `--admission` (prompt | reserve), `--chunk`,
@@ -643,6 +644,19 @@ fn token_main(args: &[String]) -> Result<(), String> {
         TokenScenarioCfg, TokenServiceCurve, TokenSlo, GIB,
     };
 
+    /// Clamp intervals of the sampled prompt and output lengths, tokens.
+    /// A median outside its interval would be clamped silently, so the
+    /// flags reject it.
+    const PROMPT_TOKENS: (usize, usize) = (16, 8192);
+    const OUTPUT_TOKENS: (usize, usize) = (1, 4096);
+    let length = |flag: &str, value: &str, (min, max): (usize, usize)| {
+        value
+            .parse::<f64>()
+            .ok()
+            .filter(|n| n.is_finite() && (min as f64..=max as f64).contains(n))
+            .ok_or_else(|| format!("{flag} requires a token count from {min} to {max}"))
+    };
+
     let mut spec = DeviceSpec::a100_80gb();
     let mut model_name = "llama".to_string();
     let mut gpus = 2usize;
@@ -698,20 +712,8 @@ fn token_main(args: &[String]) -> Result<(), String> {
                     .filter(|u| *u > 0.0)
                     .ok_or_else(|| "--util requires a positive fraction".to_string())?;
             }
-            "--prompt-len" => {
-                prompt_len = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|n| *n > 0.0)
-                    .ok_or_else(|| "--prompt-len requires a positive number".to_string())?;
-            }
-            "--output-len" => {
-                output_len = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|n| *n > 0.0)
-                    .ok_or_else(|| "--output-len requires a positive number".to_string())?;
-            }
+            "--prompt-len" => prompt_len = length(flag, value, PROMPT_TOKENS)?,
+            "--output-len" => output_len = length(flag, value, OUTPUT_TOKENS)?,
             "--kv-budget" => {
                 kv_budget_gib = Some(
                     value
@@ -801,8 +803,8 @@ fn token_main(args: &[String]) -> Result<(), String> {
         Some(g) => (g * GIB) as u64,
         None => KvLedger::default_budget(&spec, curve.weight_bytes),
     };
-    let prompt = LengthDist::new(prompt_len, 0.3, 16, 8192);
-    let output = LengthDist::new(output_len, 0.3, 1, 4096);
+    let prompt = LengthDist::new(prompt_len, 0.3, PROMPT_TOKENS.0, PROMPT_TOKENS.1);
+    let output = LengthDist::new(output_len, 0.3, OUTPUT_TOKENS.0, OUTPUT_TOKENS.1);
     let cap = batching.cap();
     let slo = TokenSlo::from_curve(&curve, prompt.mean(), output.mean(), cap);
     let rate = rate.unwrap_or_else(|| {

@@ -1,7 +1,9 @@
 //! `--rate` must be a positive, finite number on every serving
 //! subcommand. An infinite arrival rate used to pass validation and make
 //! the simulation loop forever; it must now fail fast with the usual
-//! message instead.
+//! message instead. Likewise `repro token`'s length medians must lie in
+//! the interval their samples are clamped to, instead of being clamped
+//! silently.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -46,5 +48,22 @@ fn infinite_rate_is_rejected_fast() {
                 "`repro {cmd} --rate {rate}` stderr: {stderr}"
             );
         }
+    }
+}
+
+#[test]
+fn out_of_range_token_lengths_are_rejected_fast() {
+    for (flag, value, limit) in [
+        ("--prompt-len", "1000000", "from 16 to 8192"),
+        ("--prompt-len", "inf", "from 16 to 8192"),
+        ("--prompt-len", "NaN", "from 16 to 8192"),
+        ("--prompt-len", "8", "from 16 to 8192"),
+        ("--output-len", "5000", "from 1 to 4096"),
+        ("--output-len", "0", "from 1 to 4096"),
+    ] {
+        let (ok, stderr) = repro_bounded(&["token", flag, value]);
+        assert!(!ok, "`repro token {flag} {value}` must fail");
+        let message = format!("{flag} requires a token count {limit}");
+        assert!(stderr.contains(&message), "`repro token {flag} {value}` stderr: {stderr}");
     }
 }

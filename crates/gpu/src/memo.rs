@@ -8,12 +8,17 @@
 //! locked `HashMap`, and eviction inside a shard is least-recently-used by
 //! a global access tick.
 //!
+//! Keys are hashed with [`FxHasher`], a multiply-rotate hash: a memo key
+//! is a handful of machine words, and a lookup sits on the profiler's
+//! per-op path, so a keyed SipHash would cost more than the probe. The
+//! keys are simulator-generated, never adversarial. The shard comes from
+//! high bits of the same hash the shard map buckets by.
+//!
 //! Values are handed out as `Arc<V>` so hits never clone the payload, and
 //! the map never blocks readers of *other* shards while one shard evicts.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -21,6 +26,72 @@ use std::sync::{Arc, Mutex};
 /// keep worker threads from serializing on one lock, small enough that a
 /// bounded capacity still divides into useful per-shard budgets.
 const SHARDS: usize = 8;
+
+/// The shard is `hash >> SHARD_SHIFT` modulo [`SHARDS`]: bits above the
+/// low ones a shard map indexes its buckets with (a shard holds far fewer
+/// than 2^34 entries) and below the top seven the standard map keeps as a
+/// per-slot tag, so neither loses entropy to the shard choice. After
+/// [`FxHasher::finish`]'s rotation they are the product's top bits, the
+/// best mixed.
+const SHARD_SHIFT: u32 = 34;
+
+/// A multiply-rotate word hasher in the style of the Firefox/rustc "Fx"
+/// hash: each word is xored into the rotated state and multiplied by an
+/// odd constant. `finish` rotates the well-mixed high product bits down
+/// to the low bits the map's bucket index uses.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const K: u64 = 0xF135_7AEA_2E62_A9C5;
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.write_u64(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ x).wrapping_mul(Self::K);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// Builds the [`FxHasher`] every shard map and the shard pick share.
+type FxBuild = BuildHasherDefault<FxHasher>;
+
+/// One shard's map.
+type Shard<K, V> = Mutex<HashMap<K, Slot<V>, FxBuild>>;
 
 #[derive(Debug)]
 struct Slot<V> {
@@ -42,7 +113,7 @@ struct Slot<V> {
 /// ```
 #[derive(Debug)]
 pub struct ShardedLru<K, V> {
-    shards: Vec<Mutex<HashMap<K, Slot<V>>>>,
+    shards: Vec<Shard<K, V>>,
     capacity_per_shard: usize,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -55,7 +126,7 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         ShardedLru {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             capacity_per_shard: capacity.div_ceil(SHARDS).max(1),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -63,10 +134,13 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
         }
     }
 
-    fn shard_of(&self, key: &K) -> &Mutex<HashMap<K, Slot<V>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+    /// The index of the shard holding `key`.
+    fn shard_index(key: &K) -> usize {
+        (FxBuild::default().hash_one(key) >> SHARD_SHIFT) as usize % SHARDS
+    }
+
+    fn shard_of(&self, key: &K) -> &Shard<K, V> {
+        &self.shards[Self::shard_index(key)]
     }
 
     /// Looks up `key`, refreshing its recency on a hit. Also counts the
@@ -89,6 +163,10 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
 
     /// Inserts (or replaces) `key`, evicting the shard's least-recently
     /// used entry if the shard is at capacity. Returns the shared value.
+    ///
+    /// Every access takes a fresh tick, so the evicted entry is the one
+    /// with the unique minimum tick whatever order the map iterates in;
+    /// this scan is the only iteration over a shard's entries.
     pub fn insert(&self, key: K, value: V) -> Arc<V>
     where
         K: Clone,
@@ -202,11 +280,7 @@ mod tests {
         // One entry per shard: every colliding insert evicts.
         let lru: ShardedLru<u32, u32> = ShardedLru::new(1);
         // Find two keys in the same shard.
-        let shard_idx = |k: &u32| {
-            let mut h = DefaultHasher::new();
-            k.hash(&mut h);
-            (h.finish() as usize) % SHARDS
-        };
+        let shard_idx = ShardedLru::<u32, u32>::shard_index;
         let a = 0u32;
         let b = (1..1000).find(|k| shard_idx(k) == shard_idx(&a)).unwrap();
         let c = (b + 1..2000).find(|k| shard_idx(k) == shard_idx(&a)).unwrap();
@@ -222,11 +296,7 @@ mod tests {
     #[test]
     fn recency_is_refreshed_by_get() {
         let lru: ShardedLru<u32, u32> = ShardedLru::new(SHARDS * 2);
-        let shard_idx = |k: &u32| {
-            let mut h = DefaultHasher::new();
-            k.hash(&mut h);
-            (h.finish() as usize) % SHARDS
-        };
+        let shard_idx = ShardedLru::<u32, u32>::shard_index;
         let a = 0u32;
         let b = (1..1000).find(|k| shard_idx(k) == shard_idx(&a)).unwrap();
         let c = (b + 1..2000).find(|k| shard_idx(k) == shard_idx(&a)).unwrap();
@@ -247,6 +317,50 @@ mod tests {
         assert_eq!(lru.hits(), 5);
         assert_eq!(lru.misses(), 0);
         assert!((lru.hit_rate() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn keys_differing_in_one_field_stay_distinct() {
+        // Shaped like the profiler's memo key: an op tag, its dimensions,
+        // optional knobs and a device fingerprint.
+        #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+        struct Key {
+            op: u8,
+            dims: [usize; 3],
+            attn: Option<u8>,
+            probes: usize,
+            device: u64,
+        }
+        let base = Key { op: 2, dims: [2, 8, 4096], attn: Some(1), probes: 0, device: 0xA100 };
+        let variants = [
+            Key { op: 3, ..base.clone() },
+            Key { dims: [2, 8, 4097], ..base.clone() },
+            Key { dims: [8, 2, 4096], ..base.clone() },
+            Key { attn: None, ..base.clone() },
+            Key { attn: Some(0), ..base.clone() },
+            Key { probes: 4096, ..base.clone() },
+            Key { device: 0xA101, ..base.clone() },
+        ];
+        let lru: ShardedLru<Key, usize> = ShardedLru::new(64);
+        lru.insert(base.clone(), 0);
+        for (i, k) in variants.iter().enumerate() {
+            assert!(lru.get(k).is_none(), "{k:?} must not find the base entry");
+            lru.insert(k.clone(), i + 1);
+        }
+        assert_eq!(lru.len(), variants.len() + 1);
+        assert_eq!(lru.get(&base).as_deref(), Some(&0));
+        for (i, k) in variants.iter().enumerate() {
+            assert_eq!(lru.get(k).as_deref(), Some(&(i + 1)), "{k:?}");
+        }
+    }
+
+    #[test]
+    fn consecutive_keys_spread_over_every_shard() {
+        let mut used = [0usize; SHARDS];
+        for k in 0..64u64 {
+            used[ShardedLru::<u64, ()>::shard_index(&k)] += 1;
+        }
+        assert!(used.iter().all(|&n| n > 0), "shard use {used:?}");
     }
 
     #[test]

@@ -1,8 +1,37 @@
 //! Graphs: ordered, annotated operator sequences.
 
+use std::cell::RefCell;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::{Op, OpCategory};
+
+/// Formats a module path straight into the `Arc<str>` a [`Node`] holds,
+/// e.g. `g.push(node_path!("{block}.attn"), op)`. The text goes through
+/// a reused thread-local buffer, so a path costs one allocation where
+/// `format!` plus the conversion to `Arc<str>` costs two.
+#[macro_export]
+macro_rules! node_path {
+    ($($arg:tt)*) => {
+        $crate::shared_path(::std::format_args!($($arg)*))
+    };
+}
+
+/// The formatter behind [`node_path!`]: renders `args` into a reused
+/// buffer and copies the result into a fresh `Arc<str>`.
+#[must_use]
+pub fn shared_path(args: fmt::Arguments<'_>) -> Arc<str> {
+    thread_local! {
+        static BUF: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    BUF.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        buf.clear();
+        buf.write_fmt(args).expect("formatting into a String cannot fail");
+        Arc::from(buf.as_str())
+    })
+}
 
 /// One operator plus the module path it came from.
 ///
@@ -11,8 +40,9 @@ use crate::{Op, OpCategory};
 /// can be attributed back to model components.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
-    /// Dotted module path.
-    pub path: String,
+    /// Dotted module path, shared (`Arc`) with every profile event and
+    /// span recorded for this node.
+    pub path: Arc<str>,
     /// The operator.
     pub op: Op,
 }
@@ -98,7 +128,7 @@ impl Graph {
     }
 
     /// Appends an operator under a module path.
-    pub fn push(&mut self, path: impl Into<String>, op: Op) {
+    pub fn push(&mut self, path: impl Into<Arc<str>>, op: Op) {
         self.push_node(Node { path: path.into(), op });
     }
 
@@ -111,7 +141,7 @@ impl Graph {
     pub fn extend_prefixed(&mut self, prefix: &str, other: &Graph) {
         self.nodes.reserve(other.len());
         for n in &other.nodes {
-            self.push_node(Node { path: format!("{prefix}.{}", n.path), op: n.op.clone() });
+            self.push_node(Node { path: node_path!("{prefix}.{}", n.path), op: n.op.clone() });
         }
     }
 
@@ -219,7 +249,7 @@ mod tests {
         let g = sample();
         assert_eq!(g.len(), 3);
         assert!(!g.is_empty());
-        assert_eq!(g.nodes()[0].path, "proj");
+        assert_eq!(&*g.nodes()[0].path, "proj");
     }
 
     #[test]
@@ -245,7 +275,7 @@ mod tests {
         let g = sample();
         let attn: Vec<_> = g.attention_nodes().collect();
         assert_eq!(attn.len(), 1);
-        assert_eq!(attn[0].path, "attn");
+        assert_eq!(&*attn[0].path, "attn");
     }
 
     #[test]
@@ -300,7 +330,7 @@ mod tests {
     fn extend_prefixed_rewrites_paths() {
         let mut g = Graph::new();
         g.extend_prefixed("unet.down", &sample());
-        assert_eq!(g.nodes()[0].path, "unet.down.proj");
+        assert_eq!(&*g.nodes()[0].path, "unet.down.proj");
         assert_eq!(g.len(), 3);
     }
 }

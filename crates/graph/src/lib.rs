@@ -27,6 +27,6 @@ mod op;
 pub mod optimize;
 
 pub use category::OpCategory;
-pub use graph::{Graph, Node};
+pub use graph::{shared_path, Graph, Node};
 pub use op::{ActivationKind, AttnKind, Op};
 pub use optimize::{ElemWidth, OptConfig, OptStats};

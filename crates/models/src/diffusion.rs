@@ -54,16 +54,6 @@ impl NoiseSchedule {
         self.betas.is_empty()
     }
 
-    /// `β_t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= len()`.
-    #[must_use]
-    pub fn beta(&self, t: usize) -> f64 {
-        self.betas[t]
-    }
-
     /// `ᾱ_t` (cumulative product of `1 - β`).
     ///
     /// # Panics

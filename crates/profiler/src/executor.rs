@@ -1,16 +1,23 @@
 //! The performance-plane executor.
 //!
-//! Every operator goes through one recording path. A memo miss (or a
-//! profiler without a memo) lowers, optimizes, times and cache-simulates
-//! the op without touching the registry, building the op's
-//! [`OpCostEntry`] — its cost plus the exact counter deltas a
-//! kernel-by-kernel execution charges. A memo hit fetches the stored
-//! entry. Either way
-//! [`Profiler::record_op`] then applies the entry to the registry and
-//! emits the event, so cold, memoized and memo-less profiles are
-//! identical by construction. A whole graph profiled before under the
-//! same configuration replays from the memo's stage tier in one step
-//! ([`Profiler::record_stage`]).
+//! Profiling a graph is two steps: resolve, then record.
+//!
+//! - **Resolve.** Every op of the graph becomes an [`OpCostEntry`]: its
+//!   cost plus the exact counter deltas a kernel-by-kernel execution
+//!   charges. An op the memo has seen is a lookup; any other op is
+//!   lowered, optimized, timed and cache-simulated without touching the
+//!   registry. The entries, with their deltas and kernel-time buckets
+//!   summed, form the graph's [`StageEntry`]. A graph profiled before
+//!   under the same configuration resolves in one step, from the memo's
+//!   stage tier.
+//! - **Record.** [`Profiler::record_stage`] applies the stage to the
+//!   registry once — summed counter deltas, tallied histogram buckets,
+//!   the power gauge — then emits each op's event and span with the live
+//!   graph's paths.
+//!
+//! A stage hit, a stage miss and a memo-less profile differ only in how
+//! they resolve, so their timelines and registries are identical by
+//! construction.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -75,9 +82,10 @@ pub struct Profiler {
     /// Handle to the engine's `gpu_power_w` gauge; recording restores
     /// the last-launch draw a kernel-by-kernel execution would leave.
     power_w: mmg_telemetry::Gauge,
-    /// Resolved counter handles, so a replay bumps its counters
-    /// lock-free instead of re-parsing metric names under the registry
-    /// lock. Bounded by the distinct memo entries this profiler replays.
+    /// Resolved counter handles, so recording a memoized stage bumps its
+    /// counters lock-free instead of re-parsing metric names under the
+    /// registry lock. Bounded by the distinct stages this profiler
+    /// records from its memo.
     handles: Mutex<Handles>,
 }
 
@@ -204,52 +212,54 @@ impl Profiler {
 
     /// Profiles a graph, delivering each event to the hooks as it is
     /// produced — the analogue of the paper's forward-function hooks.
+    /// Hooks see each event after the whole graph's counters are applied.
     #[must_use]
     pub fn profile_with_hooks(
         &self,
         graph: &Graph,
         hooks: &mut [&mut dyn ModuleHook],
     ) -> Timeline {
-        let mut emit = |event: OpEvent| {
-            for h in hooks.iter_mut() {
-                h.on_op(&event);
-            }
-            event
-        };
-        let Some(memo) = self.memo.as_deref() else {
-            let events = graph.nodes().iter().enumerate().map(|(index, node)| {
-                let start_us = self.registry.epoch_us();
-                let entry = self.compute_op(&node.op);
-                emit(self.record_op(index, node, &entry, start_us, false))
-            });
-            return Timeline::new(events.collect());
-        };
-        let stage_key = self.stage_key(graph);
-        if let Some(stage) = memo.lookup_stage(&stage_key) {
-            return self.record_stage(graph, &stage, emit);
+        let memo = self.memo.as_deref();
+        let key = self.stage_key(graph);
+        if let Some(stage) = memo.and_then(|memo| memo.lookup_stage(&key)) {
+            return self.record_stage(graph, &stage, None, hooks);
         }
-        let mut entries = Vec::with_capacity(graph.len());
-        let mut events = Vec::with_capacity(graph.len());
-        for (index, node) in graph.nodes().iter().enumerate() {
-            let start_us = self.registry.epoch_us();
-            let key = MemoKey::for_op(
-                &node.op,
-                self.attn,
-                self.elem_bytes,
-                self.conv_algo,
-                self.cache_probes,
-                self.opt,
-                self.device_fingerprint,
-            );
-            let entry = match memo.lookup(&key) {
-                Some(entry) => entry,
-                None => memo.store(key, self.compute_op(&node.op)),
-            };
-            events.push(emit(self.record_op(index, node, &entry, start_us, true)));
-            entries.push(entry);
+        let mut starts = Vec::with_capacity(graph.len());
+        let entries = graph
+            .nodes()
+            .iter()
+            .map(|node| {
+                starts.push(self.registry.epoch_us());
+                self.resolve(&node.op, memo)
+            })
+            .collect();
+        let stage = StageEntry::new(entries, &self.kernel_time_us);
+        let stage = match memo {
+            Some(memo) => memo.store_stage(key, stage),
+            None => Arc::new(stage),
+        };
+        self.record_stage(graph, &stage, Some(starts), hooks)
+    }
+
+    /// One op's entry: from `memo` when it holds the op, else computed
+    /// (and stored, when there is a memo).
+    fn resolve(&self, op: &Op, memo: Option<&CostMemo>) -> Arc<OpCostEntry> {
+        let Some(memo) = memo else {
+            return Arc::new(self.compute_op(op));
+        };
+        let key = MemoKey::for_op(
+            op,
+            self.attn,
+            self.elem_bytes,
+            self.conv_algo,
+            self.cache_probes,
+            self.opt,
+            self.device_fingerprint,
+        );
+        match memo.lookup(&key) {
+            Some(entry) => entry,
+            None => memo.store(key, self.compute_op(op)),
         }
-        memo.store_stage(stage_key, StageEntry::new(entries, &self.kernel_time_us));
-        Timeline::new(events)
     }
 
     fn stage_key(&self, graph: &Graph) -> StageKey {
@@ -305,85 +315,73 @@ impl Profiler {
         OpCostEntry::new(time_s, energy_j, flops, hbm, Arc::new(records), deltas)
     }
 
-    /// The one record path: applies an op's entry to the registry —
-    /// counters, the kernel-time histogram, the power gauge and a span
-    /// carrying the op's counter attribution, opened at `start_us` — and
-    /// builds its [`OpEvent`]. `memoized` entries cache their counter
-    /// handles for the next replay; a memo-less profiler's fresh entries
-    /// are never seen again, so theirs are resolved once and dropped.
-    fn record_op(
-        &self,
-        index: usize,
-        node: &Node,
-        entry: &OpCostEntry,
-        start_us: f64,
-        memoized: bool,
-    ) -> OpEvent {
-        self.apply_deltas(&entry.counter_deltas, memoized);
-        for k in entry.records.iter() {
-            self.kernel_time_us.observe(k.time_s * 1e6);
-        }
-        if let Some(last) = entry.records.last() {
-            self.power_w.set(last.draw_w);
-        }
-        self.record_span(&node.path, start_us, &entry.visible);
-        event(index, node, entry)
-    }
-
-    /// Stage-tier hit: replays a whole graph with the registry left as
-    /// [`Profiler::record_op`] on every op would leave it. Each distinct
-    /// counter is bumped once by its summed delta, the histogram takes
-    /// the pre-tallied buckets with kernel times summed in launch order
-    /// (so its f64 sum is bitwise the per-op one), and the power gauge is
-    /// set once. Events and spans are still per op, with paths from the
-    /// live graph; each op's span runs until the next op's starts.
+    /// The one record path. Applies a resolved graph to the registry as
+    /// a kernel-by-kernel execution of every op would leave it: each
+    /// distinct counter is bumped once by its summed delta, the histogram
+    /// takes the pre-tallied buckets with kernel times summed in launch
+    /// order (so its f64 sum is bitwise the per-kernel one), and the power
+    /// gauge is set once. Then each op's event goes to the hooks and each
+    /// op's span is recorded, with paths from the live graph.
+    ///
+    /// Op `i`'s span starts at `starts[i]` — the instant its resolution
+    /// began — or, for a stage resolved in one step (`None`), at the
+    /// instant its recording began. Each span ends where the next one
+    /// starts and the last one at the end of recording, so the spans tile
+    /// the profile call without gaps.
     fn record_stage(
         &self,
         graph: &Graph,
         stage: &StageEntry,
-        mut emit: impl FnMut(OpEvent) -> OpEvent,
+        starts: Option<Vec<f64>>,
+        hooks: &mut [&mut dyn ModuleHook],
     ) -> Timeline {
-        let mut start_us = self.registry.epoch_us();
-        self.apply_deltas(&stage.counter_deltas, true);
+        let recording_us = self.registry.epoch_us();
+        self.apply_deltas(&stage.counter_deltas);
         let times = stage.ops.iter().flat_map(|e| e.records.iter().map(|k| k.time_s * 1e6));
         self.kernel_time_us.observe_tallied(&stage.kernel_buckets, times);
         if let Some(w) = stage.last_draw_w {
             self.power_w.set(w);
         }
+        let resolved = starts.is_some();
+        let mut starts = starts.unwrap_or_else(|| Vec::with_capacity(graph.len()));
         let mut events = Vec::with_capacity(graph.len());
         for (index, (node, entry)) in graph.nodes().iter().zip(&stage.ops).enumerate() {
-            let end_us = self.record_span(&node.path, start_us, &entry.visible);
-            events.push(emit(event(index, node, entry)));
-            start_us = end_us;
+            if !resolved {
+                starts.push(if index == 0 { recording_us } else { self.registry.epoch_us() });
+            }
+            let event = event(index, node, entry);
+            for h in hooks.iter_mut() {
+                h.on_op(&event);
+            }
+            events.push(event);
         }
+        let ends = starts.iter().skip(1).copied().chain([self.registry.epoch_us()]);
+        let windows = starts.iter().zip(ends);
+        let ops = graph.nodes().iter().zip(&stage.ops);
+        self.registry.record_spans(ops.zip(windows).map(|((node, entry), (&start_us, end_us))| {
+            SpanRecord {
+                path: mmg_telemetry::nested_span_path(&node.path),
+                start_us,
+                dur_us: end_us - start_us,
+                counter_deltas: Arc::clone(&entry.visible),
+            }
+        }));
         Timeline::new(events)
-    }
-
-    /// Records the span a live execution of the op at `path` would have
-    /// closed now, nested under any open span; returns its end time.
-    fn record_span(&self, path: &str, start_us: f64, deltas: &Deltas) -> f64 {
-        let end_us = self.registry.epoch_us();
-        self.registry.record_span(SpanRecord {
-            path: mmg_telemetry::nested_span_path(path),
-            start_us,
-            dur_us: end_us - start_us,
-            counter_deltas: Arc::clone(deltas),
-        });
-        end_us
     }
 
     /// Bumps the registry counters named in `deltas`. Every name is
     /// resolved to a handle — including zero deltas, so counters a
-    /// kernel-by-kernel execution registers at zero get created. With
-    /// `memoized`, the list's handles are kept for its next application,
-    /// which then adds without any lookup.
-    fn apply_deltas(&self, deltas: &Deltas, memoized: bool) {
+    /// kernel-by-kernel execution registers at zero get created. With a
+    /// memo, the list's handles are kept for its next application, which
+    /// then adds without any lookup; a memo-less profiler's lists are
+    /// never seen again, so theirs are resolved once and dropped.
+    fn apply_deltas(&self, deltas: &Deltas) {
         let resolve = || -> Vec<Counter> {
             deltas.iter().map(|(full, _)| self.registry.counter_handle(full)).collect()
         };
         let mut by_list = self.handles.lock().expect("counter handle cache poisoned");
         let fresh;
-        let handles = if memoized {
+        let handles = if self.memo.is_some() {
             let key = Arc::as_ptr(deltas) as usize;
             &by_list.entry(key).or_insert_with(|| (Arc::clone(deltas), resolve())).1
         } else {
@@ -449,7 +447,7 @@ fn event(index: usize, node: &Node, entry: &OpCostEntry) -> OpEvent {
     });
     OpEvent {
         index,
-        path: node.path.clone(),
+        path: Arc::clone(&node.path),
         category: node.op.category(),
         time_s: entry.time_s,
         flops: entry.flops,
@@ -532,7 +530,7 @@ mod tests {
         // Spans were recorded per op with the same attribution.
         let spans = registry.finished_spans();
         assert_eq!(spans.len(), t.events().len());
-        assert_eq!(spans[0].path, "blk.attn");
+        assert_eq!(&*spans[0].path, "blk.attn");
     }
 
     #[test]

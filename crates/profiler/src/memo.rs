@@ -14,11 +14,8 @@
 //!   attention ops), and the [device fingerprint]
 //!   (mmg_gpu::DeviceSpec::fingerprint).
 //! - The [`OpCostEntry`] stores the op's timeline contribution *and* the
-//!   exact telemetry counter deltas its execution charges. The profiler
-//!   records every op — freshly computed or found here — by applying its
-//!   entry, so a hit leaves the registry bit-identical to a cold run; the
-//!   property test in `tests/proptest_memo.rs` holds the paths to byte
-//!   equality.
+//!   exact telemetry counter deltas its execution charges, computed
+//!   without touching a registry.
 //!
 //! On top of the per-op map sits a *stage tier*: whole graphs keyed by
 //! [`Graph::fingerprint`](mmg_graph::Graph::fingerprint) plus the
@@ -26,7 +23,15 @@
 //! per-op entries with their counter deltas and kernel-time histogram
 //! buckets summed in advance, so profiling a graph a second time — the
 //! next denoising step's UNet, the baseline and flash runs of a speedup
-//! table — replays it without one lookup per op.
+//! table — resolves it without one lookup per op.
+//!
+//! The profiler records every graph through one path: it resolves each
+//! op's entry (per-op lookups, or one stage lookup), builds the graph's
+//! [`StageEntry`] when it was not stored yet, and applies that stage to
+//! the registry once. A memo-less profile builds the same stage from
+//! fresh entries, so cold, intra-run and whole-stage hits leave the
+//! registry bit-identical; the property test in `tests/proptest_memo.rs`
+//! holds the paths to byte equality.
 //!
 //! Both maps are [`ShardedLru`]s, safe to share across the worker
 //! threads of a parallel experiment sweep.
@@ -169,13 +174,14 @@ pub(crate) struct StageKey {
     pub(crate) device_fingerprint: u64,
 }
 
-/// One profiled graph, ready to replay in one step.
+/// One resolved graph, ready to record in one step.
 #[derive(Debug)]
 pub(crate) struct StageEntry {
     /// The per-op entries, in graph order (shared with the op tier).
     pub(crate) ops: Vec<Arc<OpCostEntry>>,
     /// Every op's `counter_deltas` summed per counter, zero sums kept
-    /// so replay creates each counter the per-op path would.
+    /// so recording creates each counter a kernel-by-kernel execution
+    /// registers.
     pub(crate) counter_deltas: Arc<Vec<(String, u64)>>,
     /// `gpu_kernel_time_us` bucket counts of every kernel
     /// ([`Histogram::tally`] layout).
@@ -277,10 +283,11 @@ impl CostMemo {
         Some(stage)
     }
 
-    /// Stores a whole graph's entry after its ops were profiled.
-    pub(crate) fn store_stage(&self, key: StageKey, entry: StageEntry) {
+    /// Stores a whole graph's entry after its ops were resolved,
+    /// returning the shared copy.
+    pub(crate) fn store_stage(&self, key: StageKey, entry: StageEntry) -> Arc<StageEntry> {
         let stages = self.stages.get_or_init(|| ShardedLru::new(self.stage_capacity));
-        let _ = stages.insert(key, entry);
+        stages.insert(key, entry)
     }
 
     /// Lookups served from the memo.
@@ -326,7 +333,8 @@ impl CostMemo {
 /// counters, the per-kind kernel counters, the optimization-pass
 /// counters and (for attention ops with cache simulation) the L1/L2
 /// counters — computed without touching a registry; the executor's one
-/// record path applies them. Sorted by `(name, labels)` like
+/// record path applies them, summed per graph. Sorted by
+/// `(name, labels)` like
 /// [`mmg_telemetry::CounterSnapshot::delta_since`]; zero deltas are
 /// kept so recording creates every counter a kernel-by-kernel execution
 /// registers at zero (the filtered form lives in

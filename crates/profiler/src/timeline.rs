@@ -136,12 +136,6 @@ impl Timeline {
         self.events.iter().map(|e| e.flops).sum()
     }
 
-    /// Total HBM bytes.
-    #[must_use]
-    pub fn total_hbm_bytes(&self) -> u64 {
-        self.events.iter().map(|e| e.hbm_bytes).sum()
-    }
-
     /// Time grouped by category, descending.
     #[must_use]
     pub fn breakdown(&self) -> CategoryBreakdown {

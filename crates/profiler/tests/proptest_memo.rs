@@ -8,7 +8,9 @@
 //! rendering of the registry — whether entries are computed cold,
 //! replayed within one run, or replayed from a previous run's memo op by
 //! op or as a whole stage; at top level or under an open parent span;
-//! with or without a module hook watching.
+//! with or without a module hook watching. Every run's op spans tile the
+//! profile call in op order, and share the graph's paths rather than
+//! copying them.
 
 use std::sync::Arc;
 
@@ -131,13 +133,14 @@ fn profile_in(
         p = p.with_memo(memo);
     }
     let parent = mode.parent_span.then(|| registry.span("parent"));
+    let before_us = registry.epoch_us();
     let t = if mode.hook {
         let mut hook = CountingHook::default();
         let t = p.profile_with_hooks(g, &mut [&mut hook]);
         // The hook sees every op, once, with the event's path.
         let mut seen = hook.counts().clone();
         for e in t.events() {
-            let n = seen.get_mut(&e.path).expect("hook saw the op");
+            let n = seen.get_mut(&*e.path).expect("hook saw the op");
             *n -= 1;
         }
         assert!(seen.values().all(|&n| n == 0), "hook counts differ from the events");
@@ -145,8 +148,40 @@ fn profile_in(
     } else {
         p.profile(g)
     };
+    let after_us = registry.epoch_us();
+    check_op_spans(g, &t, &registry, (before_us, after_us), mode);
     drop(parent);
     (t, registry)
+}
+
+/// The spans and events of one profile call of `g`, taken between the
+/// registry instants `window`: one span per op, in op order, each
+/// starting where the previous one ended, all inside `window`. Event
+/// paths are the nodes' own `Arc`s; so are span paths at top level,
+/// while under the open parent span a span path is `"parent.<path>"`.
+fn check_op_spans(g: &Graph, t: &Timeline, registry: &Registry, window: (f64, f64), mode: Mode) {
+    let spans = registry.finished_spans();
+    assert_eq!(spans.len(), g.len(), "one span per op ({mode:?})");
+    let (before_us, after_us) = window;
+    assert!(spans[0].start_us >= before_us, "{mode:?}: first span starts before the call");
+    let mut reach = spans[0].start_us;
+    for ((span, node), ev) in spans.iter().zip(g.nodes()).zip(t.events()) {
+        assert!(
+            (span.start_us - reach).abs() <= 1e-6,
+            "span {} starts at {} µs, not where the previous ended ({reach} µs)",
+            node.path,
+            span.start_us
+        );
+        assert!(span.dur_us >= 0.0, "span {} has negative duration", node.path);
+        reach = span.start_us + span.dur_us;
+        assert!(Arc::ptr_eq(&ev.path, &node.path), "event path of {} is a copy", node.path);
+        if mode.parent_span {
+            assert_eq!(&*span.path, format!("parent.{}", node.path), "nested span path");
+        } else {
+            assert!(Arc::ptr_eq(&span.path, &node.path), "span path of {} is a copy", node.path);
+        }
+    }
+    assert!(reach <= after_us, "{mode:?}: last span ends after the call");
 }
 
 /// Profiles `g` cold, then through a fresh memo three times — the first

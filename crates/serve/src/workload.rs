@@ -295,9 +295,11 @@ impl LengthDist {
         LengthDist::new(tokens as f64, 0.0, tokens.max(1), tokens.max(1))
     }
 
-    /// The unclamped lognormal mean, `median · exp(σ²/2)` — used as an
-    /// analytic anchor when translating a target utilization into an
-    /// offered rate (the clamp bias is second-order for the defaults).
+    /// The lognormal mean `median · exp(σ²/2)`, clamped to the sampling
+    /// interval `[min, max]` — used as an analytic anchor when
+    /// translating a target utilization into an offered rate. It is not
+    /// the mean of the clamped samples; that bias is second-order for
+    /// the defaults.
     #[must_use]
     pub fn mean(&self) -> f64 {
         (self.median * (0.5 * self.sigma * self.sigma).exp())

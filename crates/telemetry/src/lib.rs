@@ -297,7 +297,9 @@ fn parse_full_name(full: &str) -> Key {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Dot-joined path of enclosing span names (`unet.down.attn`).
-    pub path: String,
+    /// Shared (`Arc`), so a replayed span outside any open span carries
+    /// its module's path without copying it.
+    pub path: Arc<str>,
     /// Microseconds since the registry epoch at which the span opened.
     pub start_us: f64,
     /// Span duration in microseconds.
@@ -344,14 +346,14 @@ impl CounterSnapshot {
 }
 
 thread_local! {
-    static SPAN_PATH: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    static SPAN_PATH: RefCell<Vec<Arc<str>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// RAII guard for an open span; records a [`SpanRecord`] on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
     registry: Registry,
-    path: String,
+    path: Arc<str>,
     start: Instant,
     start_us: f64,
     snap: CounterSnapshot,
@@ -371,7 +373,7 @@ impl Drop for SpanGuard {
             stack.borrow_mut().pop();
         });
         let record = SpanRecord {
-            path: std::mem::take(&mut self.path),
+            path: Arc::clone(&self.path),
             start_us: self.start_us,
             dur_us: self.start.elapsed().as_secs_f64() * 1e6,
             counter_deltas: Arc::new(self.snap.delta_since(&self.registry)),
@@ -384,13 +386,15 @@ impl Drop for SpanGuard {
 
 /// The dot-joined path a span named `name` would receive if opened on
 /// this thread right now — nested under any open span — without
-/// actually opening one. Pairs with [`Registry::record_span`] on replay
-/// paths that must emit the same paths a live run would.
+/// actually opening one. Pairs with [`Registry::record_spans`] on replay
+/// paths that must emit the same paths a live run would. With no span
+/// open this is `name` itself, shared rather than copied; only a nested
+/// path allocates.
 #[must_use]
-pub fn nested_span_path(name: &str) -> String {
+pub fn nested_span_path(name: &Arc<str>) -> Arc<str> {
     SPAN_PATH.with(|stack| match stack.borrow().last() {
-        Some(parent) => format!("{parent}.{name}"),
-        None => name.to_string(),
+        Some(parent) => format!("{parent}.{name}").into(),
+        None => Arc::clone(name),
     })
 }
 
@@ -523,16 +527,17 @@ impl Registry {
         map.insert(name.to_string(), help.to_string());
     }
 
-    /// Appends a pre-built [`SpanRecord`] to this registry's finished
-    /// spans, bypassing the snapshot machinery of [`Registry::span`].
+    /// Appends pre-built [`SpanRecord`]s, in order, to this registry's
+    /// finished spans under one lock, bypassing the snapshot machinery
+    /// of [`Registry::span`].
     ///
-    /// Replay paths (e.g. a profiler serving an operator from its memo
-    /// cache) use this to record the span a live execution would have
-    /// produced — same path and counter deltas — without paying two full
+    /// Replay paths (e.g. a profiler recording a whole graph from its
+    /// memo) use this to record the spans a live execution would have
+    /// produced — same paths and counter deltas — without paying two full
     /// counter snapshots per operator.
-    pub fn record_span(&self, record: SpanRecord) {
+    pub fn record_spans(&self, records: impl IntoIterator<Item = SpanRecord>) {
         if let Ok(mut spans) = self.inner.spans.lock() {
-            spans.push(record);
+            spans.extend(records);
         }
     }
 
@@ -637,12 +642,12 @@ impl Registry {
     pub fn span(&self, name: &str) -> SpanGuard {
         let path = SPAN_PATH.with(|stack| {
             let mut stack = stack.borrow_mut();
-            let path = if let Some(parent) = stack.last() {
-                format!("{parent}.{name}")
+            let path: Arc<str> = if let Some(parent) = stack.last() {
+                format!("{parent}.{name}").into()
             } else {
-                name.to_string()
+                name.into()
             };
-            stack.push(path.clone());
+            stack.push(Arc::clone(&path));
             path
         });
         SpanGuard {
@@ -822,7 +827,7 @@ impl Registry {
             .into_iter()
             .map(|s| {
                 Value::Object(vec![
-                    ("path".to_string(), Value::String(s.path)),
+                    ("path".to_string(), Value::String(s.path.to_string())),
                     ("start_us".to_string(), Value::from(s.start_us)),
                     ("dur_us".to_string(), Value::from(s.dur_us)),
                     (
@@ -970,9 +975,9 @@ mod tests {
         let spans = r.finished_spans();
         assert_eq!(spans.len(), 2);
         // Inner closes first.
-        assert_eq!(spans[0].path, "unet.attn");
+        assert_eq!(&*spans[0].path, "unet.attn");
         assert_eq!(*spans[0].counter_deltas, vec![("work_total".to_string(), 7)]);
-        assert_eq!(spans[1].path, "unet");
+        assert_eq!(&*spans[1].path, "unet");
         assert_eq!(*spans[1].counter_deltas, vec![("work_total".to_string(), 13)]);
         assert!(spans[1].dur_us >= spans[0].dur_us);
     }
@@ -1189,30 +1194,45 @@ mod tests {
     #[test]
     fn record_span_appends_verbatim() {
         let r = Registry::new();
-        let record = SpanRecord {
-            path: "unet.replayed".to_string(),
-            start_us: 12.5,
+        let record = |path: &str, start_us| SpanRecord {
+            path: path.into(),
+            start_us,
             dur_us: 3.0,
             counter_deltas: Arc::new(vec![("k".to_string(), 7)]),
         };
-        r.record_span(record.clone());
-        assert_eq!(r.finished_spans(), vec![record]);
+        let records = vec![record("unet.replayed", 12.5), record("unet.next", 15.5)];
+        r.record_spans(records.clone());
+        assert_eq!(r.finished_spans(), records);
     }
 
     #[test]
     fn nested_span_path_matches_live_span_paths() {
         let r = Registry::new();
-        assert_eq!(nested_span_path("root"), "root");
+        let nested = |name: &str| nested_span_path(&Arc::from(name)).to_string();
+        assert_eq!(nested("root"), "root");
         {
-            let _outer = r.span("unet");
-            assert_eq!(nested_span_path("attn"), "unet.attn");
+            let outer = r.span("unet");
+            assert_eq!(nested("attn"), "unet.attn");
             {
-                let _inner = r.span("down");
-                assert_eq!(nested_span_path("gemm"), "unet.down.gemm");
+                let inner = r.span("down");
+                assert_eq!(nested("gemm"), "unet.down.gemm");
+                assert_eq!(inner.path(), "unet.down");
             }
-            assert_eq!(nested_span_path("attn"), "unet.attn");
+            assert_eq!(nested("attn"), "unet.attn");
+            assert_eq!(outer.path(), "unet");
         }
-        assert_eq!(nested_span_path("root"), "root");
+        assert_eq!(nested("root"), "root");
+    }
+
+    #[test]
+    fn nested_span_path_shares_the_name_outside_any_span() {
+        let r = Registry::new();
+        let name: Arc<str> = Arc::from("blk.attn");
+        assert!(Arc::ptr_eq(&nested_span_path(&name), &name), "no span open: no copy");
+        let _outer = r.span("unet");
+        let nested = nested_span_path(&name);
+        assert!(!Arc::ptr_eq(&nested, &name));
+        assert_eq!(&*nested, "unet.blk.attn");
     }
 
     #[test]
@@ -1223,12 +1243,12 @@ mod tests {
         b.counter("shared_total").add(7);
         b.counter("only_b_total").add(1);
         b.gauge("depth").set(4.0);
-        b.record_span(SpanRecord {
-            path: "exp".to_string(),
+        b.record_spans([SpanRecord {
+            path: "exp".into(),
             start_us: 0.0,
             dur_us: 1.0,
             counter_deltas: Arc::new(vec![]),
-        });
+        }]);
         a.merge_from(&b);
         assert_eq!(a.counter("shared_total").get(), 12);
         assert_eq!(a.counter("only_b_total").get(), 1);

@@ -122,18 +122,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutably borrow the underlying row-major data.
-    #[must_use]
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consumes the tensor and returns its data.
-    #[must_use]
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Total element count.
     #[must_use]
     pub fn numel(&self) -> usize {
