@@ -61,6 +61,14 @@
 //! per-GPU KV table, and the goodput line; stdout and the metrics dump
 //! are byte-identical for every `--jobs` value.
 //!
+//! Every subcommand reads its argv in one pass against its flag table
+//! in this file (`SERVE_FLAGS`, `TOKEN_FLAGS`, …); the usage text
+//! and each `unknown <cmd> flag` message are generated from the same
+//! tables, so they list exactly what is accepted. A repeated flag's last
+//! value wins. Numeric flags must be finite and positive (`--seed` and
+//! `--sweep-seed` take any non-negative integer), so `inf` or `NaN` is
+//! an error rather than a run that never ends.
+//!
 //! Experiments run on a worker pool (`--jobs`); outputs are printed and
 //! telemetry merged in experiment order, so stdout and counter totals
 //! are byte-identical for every job count. Randomness is seed-stable
@@ -76,6 +84,7 @@
 //! manifest is written to the file instead, with `elapsed_s` included.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use mmg_attn::AttnImpl;
@@ -89,15 +98,15 @@ use mmg_profiler::trace::to_chrome_trace_object;
 use mmg_profiler::Profiler;
 use serde_json::Value;
 
-fn device_by_name(name: &str) -> Option<DeviceSpec> {
+fn device_by_name(name: &str) -> Result<DeviceSpec, String> {
     match name.to_lowercase().as_str() {
-        "a100" | "a100-80gb" => Some(DeviceSpec::a100_80gb()),
-        "a100-40gb" => Some(DeviceSpec::a100_40gb()),
-        "v100" => Some(DeviceSpec::v100_32gb()),
-        "h100" => Some(DeviceSpec::h100_80gb()),
-        "l4" | "l4-24gb" => Some(DeviceSpec::l4_24gb()),
-        "h200" | "h200-141gb" => Some(DeviceSpec::h200_141gb()),
-        _ => None,
+        "a100" | "a100-80gb" => Ok(DeviceSpec::a100_80gb()),
+        "a100-40gb" => Ok(DeviceSpec::a100_40gb()),
+        "v100" => Ok(DeviceSpec::v100_32gb()),
+        "h100" => Ok(DeviceSpec::h100_80gb()),
+        "l4" | "l4-24gb" => Ok(DeviceSpec::l4_24gb()),
+        "h200" | "h200-141gb" => Ok(DeviceSpec::h200_141gb()),
+        _ => Err(format!("unknown device '{name}'")),
     }
 }
 
@@ -322,229 +331,339 @@ fn bench_snapshot(spec: &DeviceSpec, path: Option<String>) -> Result<String, Str
     Ok(path)
 }
 
-/// `repro optimize` — the kernel-graph optimization-pass experiment.
-/// With no pass flags, runs the full per-family grid on the suite
-/// engine (deterministic for every `--jobs` value). With any of
-/// `--fuse`, `--width`, `--graph-capture`, or `--sampler-steps`, runs
-/// the suite under exactly that pass configuration and prints the
-/// eager-vs-optimized table.
-fn optimize_main(args: &[String]) -> Result<(), String> {
+/// One row of a flag table: the flag and the metavar its usage line
+/// shows after it; [`SWITCH`] marks a bare switch, which takes no value.
+/// A table also generates its subcommand's unknown-flag message and
+/// usage line, so both always match what the reader accepts.
+type Flag = (&'static str, &'static str);
+
+/// The metavar of a bare switch.
+const SWITCH: &str = "";
+
+/// Flags of the experiment runner, `repro [flags] <target>…`. Its usage
+/// line shows the first [`MAIN_USAGE_ROWS`] rows; the `--replications`
+/// metavar nests `--sweep-seed`, which only applies with it.
+const MAIN_FLAGS: &[Flag] = &[
+    ("--device", "<name>"),
+    ("--jobs", "<n>"),
+    ("--json", SWITCH),
+    ("--metrics", "<path>"),
+    ("--trace-out", "<path>"),
+    ("--manifest", "<path>"),
+    ("--replications", "<n> [--sweep-seed <n>]"),
+    ("--sweep-seed", "<n>"),
+    ("--out", "<path>"),
+    ("--list", SWITCH),
+];
+const MAIN_USAGE_ROWS: usize = 7;
+
+const OPTIMIZE_FLAGS: &[Flag] = &[
+    ("--device", "<name>"),
+    ("--fuse", SWITCH),
+    ("--width", "<fp16|fp8|int8>"),
+    ("--graph-capture", SWITCH),
+    ("--sampler-steps", "<n>"),
+    ("--jobs", "<n>"),
+];
+
+/// The `optimize` flags that pick one pass configuration. Without any
+/// of them, `repro optimize` runs the full pass grid as an experiment.
+const PASS_FLAGS: [&str; 4] = ["--fuse", "--width", "--graph-capture", "--sampler-steps"];
+
+const SERVE_FLAGS: &[Flag] = &[
+    ("--device", "<name>"),
+    ("--gpus", "<n>"),
+    ("--mix", "<model:weight,…>"),
+    ("--arrival", "<poisson|bursty|diurnal>"),
+    ("--rate", "<rps>"),
+    ("--scheduler", "<fifo|static|dynamic|pods>"),
+    ("--batch", "<n>"),
+    ("--router", "<rr|least-work|affinity>"),
+    ("--slo-ms", "<ms>"),
+    ("--duration-s", "<s>"),
+    ("--requests", "<n>"),
+    ("--seed", "<n>"),
+    ("--metrics", "<path>"),
+    ("--metrics-out", "<path>"),
+    ("--trace-out", "<path>"),
+    ("--jobs", "<n>"),
+    ("--full-records", SWITCH),
+    ("--attrib", SWITCH),
+];
+
+const FLEET_FLAGS: &[Flag] = &[
+    ("--clusters", "<n>"),
+    ("--gpus", "<per-cluster>"),
+    ("--arrival", "<poisson|diurnal>"),
+    ("--util", "<frac>"),
+    ("--rate", "<rps>"),
+    ("--policy", "<fixed|reactive|reactive+spot>"),
+    ("--requests", "<n>"),
+    ("--duration-s", "<s>"),
+    ("--windows", "<n>"),
+    ("--scheduler", "<fifo|static|dynamic|pods>"),
+    ("--batch", "<n>"),
+    ("--seed", "<n>"),
+    ("--jobs", "<n>"),
+    ("--metrics-out", "<path>"),
+];
+
+const TOKEN_FLAGS: &[Flag] = &[
+    ("--device", "<name>"),
+    ("--model", "<llama|parti|muse>"),
+    ("--gpus", "<n>"),
+    ("--arrival", "<poisson|bursty|diurnal>"),
+    ("--rate", "<rps>"),
+    ("--util", "<frac>"),
+    ("--prompt-len", "<tokens>"),
+    ("--output-len", "<tokens>"),
+    ("--kv-budget", "<gib>"),
+    ("--scheduler", "<static|continuous>"),
+    ("--batch", "<n>"),
+    ("--policy", "<decode|prefill>"),
+    ("--admission", "<prompt|reserve>"),
+    ("--chunk", "<tokens>"),
+    ("--duration-s", "<s>"),
+    ("--requests", "<n>"),
+    ("--seed", "<n>"),
+    ("--metrics-out", "<path>"),
+    ("--trace-out", "<path>"),
+    ("--jobs", "<n>"),
+];
+
+const BENCH_CHECK_FLAGS: &[Flag] = &[("--threshold", "<frac>"), ("--min-wall-s", "<s>")];
+
+/// A subcommand: its name, the positional arguments its usage line
+/// shows (empty when it takes none), its flag table and its entry point.
+type Subcommand = (&'static str, &'static str, &'static [Flag], Entry);
+
+/// A subcommand's entry point, given its read flags.
+type Entry = fn(&Args<'_>) -> Result<ExitCode, String>;
+
+/// The subcommands, in usage order. Any other first argument is read
+/// against [`MAIN_FLAGS`] by the experiment runner.
+const SUBCOMMANDS: [Subcommand; 5] = [
+    ("optimize", "", OPTIMIZE_FLAGS, optimize_main),
+    ("serve", "", SERVE_FLAGS, serve_main),
+    ("fleet", "", FLEET_FLAGS, fleet_main),
+    ("token", "", TOKEN_FLAGS, token_main),
+    ("bench-check", "<old.json> <new.json> ", BENCH_CHECK_FLAGS, bench_check_main),
+];
+
+/// `[--flag <metavar>] [--switch] …` for one flag table.
+fn usage_flags(table: &[Flag]) -> String {
+    let rows: Vec<String> = table
+        .iter()
+        .map(|&(flag, meta)| {
+            if meta == SWITCH {
+                format!("[{flag}]")
+            } else {
+                format!("[{flag} {meta}]")
+            }
+        })
+        .collect();
+    rows.join(" ")
+}
+
+/// The usage line of one of the [`SUBCOMMANDS`].
+fn usage_line(name: &str) -> String {
+    let (_, positional, table, _) =
+        SUBCOMMANDS.iter().find(|s| s.0 == name).expect("a listed subcommand");
+    format!("repro {name} {positional}{}", usage_flags(table))
+}
+
+/// The usage text `repro` prints when it is given no target.
+fn usage() -> String {
+    let targets: Vec<String> = ["bench-snapshot", "all"]
+        .iter()
+        .map(ToString::to_string)
+        .chain(ExperimentId::ALL.iter().map(ToString::to_string))
+        .collect();
+    let mut text = format!(
+        "usage: repro {} <{}>…",
+        usage_flags(&MAIN_FLAGS[..MAIN_USAGE_ROWS]),
+        targets.join(" | ")
+    );
+    for (name, ..) in SUBCOMMANDS {
+        text.push_str("\n       ");
+        text.push_str(&usage_line(name));
+    }
+    text
+}
+
+/// Argv read against one flag table in a single pass: each flag's
+/// values in order, plus the positional arguments. The typed reads take
+/// a flag's last value, so a repeated flag's last occurrence wins.
+struct Args<'a> {
+    values: Vec<(&'static str, &'a str)>,
+    positional: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Checks `argv` against `table`: every argument must be a listed
+    /// flag, followed by its value unless it is a switch. Arguments not
+    /// starting with `--` are positional where `positional` allows them.
+    fn read(
+        cmd: &str,
+        table: &'static [Flag],
+        argv: &'a [String],
+        positional: bool,
+    ) -> Result<Self, String> {
+        let mut args = Args { values: Vec::new(), positional: Vec::new() };
+        let mut argv = argv.iter().map(String::as_str);
+        while let Some(arg) = argv.next() {
+            match table.iter().find(|(flag, _)| *flag == arg) {
+                Some(&(flag, SWITCH)) => args.values.push((flag, SWITCH)),
+                Some(&(flag, _)) => {
+                    let value = argv.next().ok_or_else(|| format!("{flag} requires a value"))?;
+                    args.values.push((flag, value));
+                }
+                None if positional && !arg.starts_with("--") => args.positional.push(arg),
+                None => {
+                    let expected: Vec<&str> = table.iter().map(|(flag, _)| *flag).collect();
+                    return Err(format!(
+                        "unknown {cmd} flag '{arg}'; expected {}",
+                        expected.join(" | ")
+                    ));
+                }
+            }
+        }
+        Ok(args)
+    }
+
+    /// The last value given for `flag`, if any.
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.values.iter().rev().find(|(f, _)| *f == flag).map(|&(_, value)| value)
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn string(&self, flag: &str) -> Option<String> {
+        self.get(flag).map(str::to_string)
+    }
+
+    /// `flag`'s value as a `T` that passes `ok`; any other value is the
+    /// error `<flag> requires <what>`.
+    fn parsed<T: FromStr>(
+        &self,
+        flag: &str,
+        what: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        self.get(flag)
+            .map(|value| {
+                value
+                    .parse::<T>()
+                    .ok()
+                    .filter(|v| ok(v))
+                    .ok_or_else(|| format!("{flag} requires {what}"))
+            })
+            .transpose()
+    }
+
+    /// A positive integer.
+    fn count<T: FromStr + PartialOrd + Default>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.parsed(flag, "a positive integer", |n| *n > T::default())
+    }
+
+    /// A positive, finite number: the one check every float flag goes
+    /// through, so none accepts `inf` or `NaN`. `what` names the unit in
+    /// the error (`a positive number`, `a positive fraction`, …).
+    fn positive(&self, flag: &str, what: &str) -> Result<Option<f64>, String> {
+        self.parsed(flag, what, |x: &f64| x.is_finite() && *x > 0.0)
+    }
+
+    /// Any non-negative integer, zero included.
+    fn seed(&self, flag: &str) -> Result<Option<u64>, String> {
+        self.parsed(flag, "a non-negative integer", |_| true)
+    }
+}
+
+/// The `--device` flag's SKU, A100-80GB when absent.
+fn device(args: &Args<'_>) -> Result<DeviceSpec, String> {
+    args.get("--device").map_or_else(|| Ok(DeviceSpec::a100_80gb()), device_by_name)
+}
+
+/// Writes `registry` to `path`: the pretty JSON snapshot (plus a
+/// newline) for a `.json` path, the Prometheus text exposition for any
+/// other.
+fn write_metrics(path: &str, registry: &mmg_telemetry::Registry) -> Result<(), String> {
+    let body = if path.ends_with(".json") {
+        let mut s = serde_json::to_string_pretty(&registry.snapshot_json())
+            .expect("registry snapshots always serialize");
+        s.push('\n');
+        s
+    } else {
+        registry.render_prometheus()
+    };
+    write_file(path, &body, "metrics")
+}
+
+/// `repro optimize` with a pass flag (`--fuse`, `--width`,
+/// `--graph-capture` or `--sampler-steps`): runs the suite under exactly
+/// that pass configuration and prints the eager-vs-optimized table.
+/// `--jobs` is validated and ignored; the bare `repro optimize` grid is
+/// the `optimize` experiment.
+fn optimize_main(args: &Args<'_>) -> Result<ExitCode, String> {
     use mmg_core::experiments::optimize;
     use mmg_graph::{ElemWidth, OptConfig};
 
-    let mut spec = DeviceSpec::a100_80gb();
-    let mut fuse = false;
-    let mut width: Option<ElemWidth> = None;
-    let mut graph_capture = false;
-    let mut sampler_steps: Option<usize> = None;
-    let mut jobs = 1usize;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        if flag == "--fuse" {
-            fuse = true;
-            continue;
-        }
-        if flag == "--graph-capture" {
-            graph_capture = true;
-            continue;
-        }
-        let value = args
-            .get(i)
-            .ok_or_else(|| format!("{flag} requires a value"))?;
-        match flag {
-            "--device" => {
-                spec = device_by_name(value).ok_or_else(|| format!("unknown device '{value}'"))?;
-            }
-            "--width" => {
-                width = Some(match value.to_lowercase().as_str() {
-                    "fp16" => ElemWidth::Fp16,
-                    "fp8" => ElemWidth::Fp8,
-                    "int8" => ElemWidth::Int8,
-                    other => return Err(format!("unknown width '{other}'; expected fp16 | fp8 | int8")),
-                });
-            }
-            "--sampler-steps" => {
-                sampler_steps = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| "--sampler-steps requires a positive integer".to_string())?,
-                );
-            }
-            "--jobs" => {
-                jobs = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--jobs requires a positive integer".to_string())?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown optimize flag '{other}'; expected --device | --fuse | --width | --graph-capture | --sampler-steps | --jobs"
-                ));
-            }
-        }
-        i += 1;
-    }
-
-    let custom = fuse || width.is_some() || graph_capture || sampler_steps.is_some();
-    if custom {
-        let opt = OptConfig { fuse, width: width.unwrap_or(ElemWidth::Fp16), graph_capture };
-        let ctx = ExecContext::shared(spec.clone());
-        println!("{}", optimize::render_single(&optimize::run_single_ctx(&ctx, opt, sampler_steps)));
-    } else {
-        // Full grid through the suite engine: stdout is byte-identical
-        // for every --jobs value (one experiment, merged in id order).
-        let memo = global_memo();
-        let registry = mmg_telemetry::global();
-        println!("device: {}\n", spec.name);
-        for report in run_suite(&[ExperimentId::Optimize], &spec, jobs, &memo, &registry) {
-            println!("{report}");
-        }
-    }
-    Ok(())
+    let spec = device(args)?;
+    let width = match args.get("--width").map(str::to_lowercase).as_deref() {
+        None | Some("fp16") => ElemWidth::Fp16,
+        Some("fp8") => ElemWidth::Fp8,
+        Some("int8") => ElemWidth::Int8,
+        Some(other) => return Err(format!("unknown width '{other}'; expected fp16 | fp8 | int8")),
+    };
+    let sampler_steps = args.count("--sampler-steps")?;
+    args.count::<usize>("--jobs")?;
+    let opt = OptConfig {
+        fuse: args.switch("--fuse"),
+        width,
+        graph_capture: args.switch("--graph-capture"),
+    };
+    let ctx = ExecContext::shared(spec);
+    println!("{}", optimize::render_single(&optimize::run_single_ctx(&ctx, opt, sampler_steps)));
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs one serving scenario on the `mmg-serve` cluster DES and prints
 /// the per-model SLO report. Deterministic: one seed fixes the sample
 /// path, so stdout is byte-identical across invocations.
-fn serve_main(args: &[String]) -> Result<(), String> {
+fn serve_main(args: &Args<'_>) -> Result<ExitCode, String> {
     use mmg_serve::{
-        simulate, simulate_recorded, ArrivalProcess, FlightCfg, RequestMix, ScenarioCfg,
-        SchedulerKind, ServiceProfile, SloReport, SloSpec,
+        simulate, simulate_recorded, ArrivalProcess, FlightCfg, RequestMix, RouterKind,
+        ScenarioCfg, SchedulerKind, ServiceProfile, SloReport, SloSpec,
     };
 
-    let mut spec = DeviceSpec::a100_80gb();
-    let mut gpus = 4usize;
-    let mut mix_spec = "sd:8,parti:2".to_string();
-    let mut arrival_name = "poisson".to_string();
-    let mut rate: Option<f64> = None;
-    let mut scheduler_name = "dynamic".to_string();
-    let mut batch = 16usize;
-    let mut router_name: Option<String> = None;
-    let mut slo_ms: Option<f64> = None;
-    let mut duration_s = 120.0f64;
-    let mut max_requests: Option<u64> = None;
-    let mut seed = 42u64;
-    let mut metrics_path: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut full_records = false;
-    let mut attrib = false;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        if flag == "--full-records" {
-            full_records = true;
-            continue;
-        }
-        if flag == "--attrib" {
-            attrib = true;
-            continue;
-        }
-        let value = args
-            .get(i)
-            .ok_or_else(|| format!("{flag} requires a value"))?;
-        match flag {
-            "--device" => {
-                spec = device_by_name(value).ok_or_else(|| format!("unknown device '{value}'"))?;
-            }
-            "--gpus" => {
-                gpus = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--gpus requires a positive integer".to_string())?;
-            }
-            "--mix" => mix_spec = value.clone(),
-            "--arrival" => arrival_name = value.clone(),
-            "--rate" => {
-                rate = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|r| r.is_finite() && *r > 0.0)
-                        .ok_or_else(|| "--rate requires a positive number".to_string())?,
-                );
-            }
-            "--scheduler" => scheduler_name = value.clone(),
-            "--batch" => {
-                batch = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--batch requires a positive integer".to_string())?;
-            }
-            "--router" => router_name = Some(value.clone()),
-            "--slo-ms" => {
-                slo_ms = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|s| *s > 0.0)
-                        .ok_or_else(|| "--slo-ms requires a positive number".to_string())?,
-                );
-            }
-            "--duration-s" => {
-                duration_s = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|d| *d > 0.0)
-                    .ok_or_else(|| "--duration-s requires a positive number".to_string())?;
-            }
-            "--requests" => {
-                max_requests = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| "--requests requires a positive integer".to_string())?,
-                );
-            }
-            "--seed" => {
-                seed = value
-                    .parse::<u64>()
-                    .map_err(|_| "--seed requires a non-negative integer".to_string())?;
-            }
-            "--metrics" => metrics_path = Some(value.clone()),
-            "--metrics-out" => metrics_out = Some(value.clone()),
-            "--trace-out" => trace_path = Some(value.clone()),
-            "--jobs" => {
-                // The scenario DES is inherently serial; the flag exists so
-                // determinism harnesses can assert the trace bytes do not
-                // depend on the advertised worker count.
-                value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--jobs requires a positive integer".to_string())?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown serve flag '{other}'; expected --device | --gpus | --mix | --arrival | --rate | --scheduler | --batch | --router | --slo-ms | --duration-s | --requests | --seed | --metrics | --metrics-out | --trace-out | --jobs | --full-records | --attrib"
-                ));
-            }
-        }
-        i += 1;
-    }
+    let spec = device(args)?;
+    let gpus = args.count("--gpus")?.unwrap_or(4);
+    let rate = args.positive("--rate", "a positive number")?;
+    let batch = args.count("--batch")?.unwrap_or(16);
+    let slo_ms = args.positive("--slo-ms", "a positive number")?;
+    let duration_s = args.positive("--duration-s", "a positive number")?.unwrap_or(120.0);
+    let max_requests = args.count("--requests")?;
+    let seed = args.seed("--seed")?.unwrap_or(42);
+    // The scenario DES is inherently serial; the flag exists so
+    // determinism harnesses can assert the trace bytes do not depend on
+    // the advertised worker count.
+    args.count::<usize>("--jobs")?;
+    let full_records = args.switch("--full-records");
+    let trace_path = args.get("--trace-out");
+    let mix_spec = args.get("--mix").unwrap_or("sd:8,parti:2");
+    let arrival_name = args.get("--arrival").unwrap_or("poisson");
 
-    let mix = RequestMix::parse(&mix_spec)?;
-    let scheduler = SchedulerKind::parse(&scheduler_name, batch)?;
+    let mix = RequestMix::parse(mix_spec)?;
+    let scheduler = SchedulerKind::parse(args.get("--scheduler").unwrap_or("dynamic"), batch)?;
 
     // Service curves come from the real profiler (shared memo + global
     // registry), at power-of-two batch sizes up to the scheduler's cap.
     let ctx = ExecContext::shared(spec.clone());
     let profiler = ctx.profiler(AttnImpl::Flash);
     let models: Vec<ModelId> = mix.models().collect();
-    let cap = match scheduler {
-        SchedulerKind::Fifo => 1,
-        SchedulerKind::Static { batch, .. } => batch,
-        SchedulerKind::Dynamic { max_batch } | SchedulerKind::Pods { max_batch } => max_batch,
-    };
+    let cap = scheduler.cap();
     let batches: Vec<usize> = (0..).map(|i| 1usize << i).take_while(|&b| b <= cap).collect();
     let mut profile = ServiceProfile::from_profiler(&profiler, &models, &batches);
     if matches!(scheduler, SchedulerKind::Pods { .. }) {
@@ -557,7 +676,7 @@ fn serve_main(args: &[String]) -> Result<(), String> {
 
     let mean_service_s = profile.mean_base_s(&mix);
     let rate = rate.unwrap_or(0.8 * gpus as f64 / mean_service_s);
-    let arrival = ArrivalProcess::parse(&arrival_name, rate)?;
+    let arrival = ArrivalProcess::parse(arrival_name, rate)?;
     let slo = match slo_ms {
         Some(ms) => SloSpec::FixedS(ms / 1e3),
         None => SloSpec::ServiceMultiple(4.0),
@@ -565,14 +684,15 @@ fn serve_main(args: &[String]) -> Result<(), String> {
     let mut cfg = ScenarioCfg::new(gpus, mix, arrival, scheduler, slo, duration_s, seed);
     cfg.full_records = full_records;
     cfg.max_requests = max_requests;
-    if attrib {
+    if args.switch("--attrib") {
         // Latency attribution plus the SRE-style burn-rate alert engine,
         // budgeted against a 95% on-time objective over the horizon.
         cfg = cfg.with_health(0.95);
     }
-    if let Some(name) = &router_name {
-        cfg.router = mmg_serve::RouterKind::parse(name)?;
+    if let Some(name) = args.get("--router") {
+        cfg.router = RouterKind::parse(name)?;
     }
+    cfg.validate()?;
 
     let sim_started = Instant::now();
     let (result, flight) = if trace_path.is_some() {
@@ -603,24 +723,13 @@ fn serve_main(args: &[String]) -> Result<(), String> {
         result.arrivals as f64 / sim_wall_s.max(1e-9),
         if full_records { "full records" } else { "streaming" },
     );
-    if let Some(path) = &metrics_path {
+    if let Some(path) = args.get("--metrics") {
         write_file(path, &ctx.registry.render_prometheus(), "metrics")?;
     }
-    if let Some(path) = &metrics_out {
-        // Extension-dispatched export of the final registry: `.json`
-        // gets the structured snapshot, anything else the Prometheus
-        // text exposition.
-        let body = if path.ends_with(".json") {
-            let mut s = serde_json::to_string_pretty(&ctx.registry.snapshot_json())
-                .expect("registry snapshots always serialize");
-            s.push('\n');
-            s
-        } else {
-            ctx.registry.render_prometheus()
-        };
-        write_file(path, &body, "metrics")?;
+    if let Some(path) = args.get("--metrics-out") {
+        write_metrics(path, &ctx.registry)?;
     }
-    if let (Some(path), Some(flight)) = (&trace_path, &flight) {
+    if let (Some(path), Some(flight)) = (trace_path, &flight) {
         write_file(path, &flight.to_chrome_trace_object(), "serve flight trace")?;
         eprintln!(
             "flight trace: {} batch spans, {} scheduler events, {} windows",
@@ -629,7 +738,7 @@ fn serve_main(args: &[String]) -> Result<(), String> {
             flight.series.iter().count(),
         );
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs one token-level (iteration-granularity) serving scenario on the
@@ -637,7 +746,7 @@ fn serve_main(args: &[String]) -> Result<(), String> {
 /// Deterministic: one seed fixes the sample path, so stdout — and the
 /// `--metrics-out` dump — is byte-identical across invocations and
 /// `--jobs` values.
-fn token_main(args: &[String]) -> Result<(), String> {
+fn token_main(args: &Args<'_>) -> Result<ExitCode, String> {
     use mmg_serve::{
         parse_model, simulate_token, simulate_token_recorded, ArrivalProcess, FlightCfg,
         KvAdmission, KvLedger, LengthDist, PhasePriority, TokenBatching, TokenReport,
@@ -649,150 +758,42 @@ fn token_main(args: &[String]) -> Result<(), String> {
     /// flags reject it.
     const PROMPT_TOKENS: (usize, usize) = (16, 8192);
     const OUTPUT_TOKENS: (usize, usize) = (1, 4096);
-    let length = |flag: &str, value: &str, (min, max): (usize, usize)| {
-        value
-            .parse::<f64>()
-            .ok()
-            .filter(|n| n.is_finite() && (min as f64..=max as f64).contains(n))
-            .ok_or_else(|| format!("{flag} requires a token count from {min} to {max}"))
+    let length = |flag: &str, (min, max): (usize, usize)| {
+        let what = format!("a token count from {min} to {max}");
+        args.parsed(flag, &what, |n: &f64| (min as f64..=max as f64).contains(n))
     };
 
-    let mut spec = DeviceSpec::a100_80gb();
-    let mut model_name = "llama".to_string();
-    let mut gpus = 2usize;
-    let mut arrival_name = "poisson".to_string();
-    let mut rate: Option<f64> = None;
-    let mut util = 0.8f64;
-    let mut prompt_len = 512.0f64;
-    let mut output_len = 128.0f64;
-    let mut kv_budget_gib: Option<f64> = None;
-    let mut scheduler_name = "continuous".to_string();
-    let mut batch = 16usize;
-    let mut policy_name = "decode".to_string();
-    let mut admission_name = "prompt".to_string();
-    let mut chunk = 256usize;
-    let mut duration_s: Option<f64> = None;
-    let mut max_requests: Option<u64> = None;
-    let mut seed = 42u64;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = args
-            .get(i)
-            .ok_or_else(|| format!("{flag} requires a value"))?;
-        match flag {
-            "--device" => {
-                spec = device_by_name(value).ok_or_else(|| format!("unknown device '{value}'"))?;
-            }
-            "--model" => model_name = value.clone(),
-            "--gpus" => {
-                gpus = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--gpus requires a positive integer".to_string())?;
-            }
-            "--arrival" => arrival_name = value.clone(),
-            "--rate" => {
-                rate = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|r| r.is_finite() && *r > 0.0)
-                        .ok_or_else(|| "--rate requires a positive number".to_string())?,
-                );
-            }
-            "--util" => {
-                util = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|u| *u > 0.0)
-                    .ok_or_else(|| "--util requires a positive fraction".to_string())?;
-            }
-            "--prompt-len" => prompt_len = length(flag, value, PROMPT_TOKENS)?,
-            "--output-len" => output_len = length(flag, value, OUTPUT_TOKENS)?,
-            "--kv-budget" => {
-                kv_budget_gib = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|g| *g > 0.0)
-                        .ok_or_else(|| "--kv-budget requires a positive GiB count".to_string())?,
-                );
-            }
-            "--scheduler" => scheduler_name = value.clone(),
-            "--batch" => {
-                batch = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--batch requires a positive integer".to_string())?;
-            }
-            "--policy" => policy_name = value.clone(),
-            "--admission" => admission_name = value.clone(),
-            "--chunk" => {
-                chunk = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--chunk requires a positive integer".to_string())?;
-            }
-            "--duration-s" => {
-                duration_s = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|d| *d > 0.0)
-                        .ok_or_else(|| "--duration-s requires a positive number".to_string())?,
-                );
-            }
-            "--requests" => {
-                max_requests = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| "--requests requires a positive integer".to_string())?,
-                );
-            }
-            "--seed" => {
-                seed = value
-                    .parse::<u64>()
-                    .map_err(|_| "--seed requires a non-negative integer".to_string())?;
-            }
-            "--metrics-out" => metrics_out = Some(value.clone()),
-            "--trace-out" => trace_path = Some(value.clone()),
-            "--jobs" => {
-                // The token DES is inherently serial; the flag exists so
-                // determinism harnesses can assert the report bytes do
-                // not depend on the advertised worker count.
-                value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--jobs requires a positive integer".to_string())?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown token flag '{other}'; expected --device | --model | --gpus | --arrival | --rate | --util | --prompt-len | --output-len | --kv-budget | --scheduler | --batch | --policy | --admission | --chunk | --duration-s | --requests | --seed | --metrics-out | --trace-out | --jobs"
-                ));
-            }
-        }
-        i += 1;
-    }
+    let spec = device(args)?;
+    let model_name = args.get("--model").unwrap_or("llama");
+    let gpus = args.count("--gpus")?.unwrap_or(2);
+    let rate = args.positive("--rate", "a positive number")?;
+    let util = args.positive("--util", "a positive fraction")?.unwrap_or(0.8);
+    let prompt_len = length("--prompt-len", PROMPT_TOKENS)?.unwrap_or(512.0);
+    let output_len = length("--output-len", OUTPUT_TOKENS)?.unwrap_or(128.0);
+    let kv_budget_gib = args.positive("--kv-budget", "a positive GiB count")?;
+    let batch = args.count("--batch")?.unwrap_or(16);
+    let chunk = args.count("--chunk")?.unwrap_or(256);
+    let duration_s = args.positive("--duration-s", "a positive number")?;
+    let max_requests = args.count("--requests")?;
+    let seed = args.seed("--seed")?.unwrap_or(42);
+    // The token DES is inherently serial; the flag exists so determinism
+    // harnesses can assert the report bytes do not depend on the
+    // advertised worker count.
+    args.count::<usize>("--jobs")?;
+    let trace_path = args.get("--trace-out");
+    let arrival_name = args.get("--arrival").unwrap_or("poisson");
 
-    let model = parse_model(&model_name)?;
+    let model = parse_model(model_name)?;
+    // Checked before the curve is built: the builder panics on a
+    // non-autoregressive model.
     if !TokenServiceCurve::supports(model) {
         return Err(format!(
             "model '{model_name}' is not autoregressive; token serving needs llama | parti | muse"
         ));
     }
-    let batching = TokenBatching::parse(&scheduler_name, batch)?;
-    let priority = PhasePriority::parse(&policy_name)?;
-    let admission = KvAdmission::parse(&admission_name)?;
+    let batching = TokenBatching::parse(args.get("--scheduler").unwrap_or("continuous"), batch)?;
+    let priority = PhasePriority::parse(args.get("--policy").unwrap_or("decode"))?;
+    let admission = KvAdmission::parse(args.get("--admission").unwrap_or("prompt"))?;
 
     // The per-step decode and cumulative prefill costs come from the
     // real profiler (shared memo + global registry).
@@ -810,7 +811,7 @@ fn token_main(args: &[String]) -> Result<(), String> {
     let rate = rate.unwrap_or_else(|| {
         util * gpus as f64 / curve.request_gpu_s(prompt.mean(), output.mean(), cap)
     });
-    let arrival = ArrivalProcess::parse(&arrival_name, rate)?;
+    let arrival = ArrivalProcess::parse(arrival_name, rate)?;
     // `--requests` without an explicit horizon sizes the horizon so the
     // realized arrival count reaches the cap (with 0.5% headroom).
     let duration_s = duration_s.unwrap_or_else(|| match max_requests {
@@ -832,7 +833,7 @@ fn token_main(args: &[String]) -> Result<(), String> {
         max_requests,
         seed,
     };
-    cfg.validate();
+    cfg.validate()?;
 
     let sim_started = Instant::now();
     let (result, flight) = if trace_path.is_some() {
@@ -865,21 +866,10 @@ fn token_main(args: &[String]) -> Result<(), String> {
         result.stats.iterations,
         result.stats.decoded_tokens as f64 / sim_wall_s.max(1e-9),
     );
-    if let Some(path) = &metrics_out {
-        // Extension-dispatched export of the final registry: `.json`
-        // gets the structured snapshot, anything else the Prometheus
-        // text exposition.
-        let body = if path.ends_with(".json") {
-            let mut s = serde_json::to_string_pretty(&ctx.registry.snapshot_json())
-                .expect("registry snapshots always serialize");
-            s.push('\n');
-            s
-        } else {
-            ctx.registry.render_prometheus()
-        };
-        write_file(path, &body, "metrics")?;
+    if let Some(path) = args.get("--metrics-out") {
+        write_metrics(path, &ctx.registry)?;
     }
-    if let (Some(path), Some(flight)) = (&trace_path, &flight) {
+    if let (Some(path), Some(flight)) = (trace_path, &flight) {
         write_file(path, &flight.to_chrome_trace_object(), "token flight trace")?;
         eprintln!(
             "flight trace: {} batch spans, {} scheduler events, {} windows",
@@ -888,7 +878,7 @@ fn token_main(args: &[String]) -> Result<(), String> {
             flight.series.iter().count(),
         );
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parameters for one multi-cluster fleet run — shared by the `fleet`
@@ -965,18 +955,8 @@ fn run_fleet(
         SchedulerKind, SloSpec,
     };
 
-    if rc.clusters == 0 {
-        return Err("--clusters requires at least one cluster".to_string());
-    }
-    if rc.windows == 0 {
-        return Err("--windows requires at least one window".to_string());
-    }
     let scheduler = SchedulerKind::parse(&rc.scheduler_name, rc.batch)?;
-    let cap = match scheduler {
-        SchedulerKind::Fifo => 1,
-        SchedulerKind::Static { batch, .. } => batch,
-        SchedulerKind::Dynamic { max_batch } | SchedulerKind::Pods { max_batch } => max_batch,
-    };
+    let cap = scheduler.cap();
     let policy = mmg_core::experiments::fleet_sweep::policies()
         .into_iter()
         .find(|p| p.name() == rc.policy_name)
@@ -1065,102 +1045,23 @@ fn run_fleet(
 /// Runs one multi-cluster fleet scenario, sharded by cluster across the
 /// worker pool, and prints the fleet report. Stdout is byte-identical
 /// for every `--jobs` value; the perf line goes to stderr.
-fn fleet_main(args: &[String]) -> Result<(), String> {
-    let mut rc = FleetRunCfg::default();
-    let mut jobs = 1usize;
-    let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let value = args
-            .get(i)
-            .ok_or_else(|| format!("{flag} requires a value"))?;
-        match flag {
-            "--clusters" => {
-                rc.clusters = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--clusters requires a positive integer".to_string())?;
-            }
-            "--gpus" => {
-                rc.gpus_per_cluster = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--gpus requires a positive integer".to_string())?;
-            }
-            "--arrival" => rc.arrival_name = value.clone(),
-            "--util" => {
-                rc.utilization = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|u| *u > 0.0)
-                    .ok_or_else(|| "--util requires a positive fraction".to_string())?;
-            }
-            "--rate" => {
-                rc.rate = Some(
-                    value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|r| r.is_finite() && *r > 0.0)
-                        .ok_or_else(|| "--rate requires a positive number".to_string())?,
-                );
-            }
-            "--policy" => rc.policy_name = value.clone(),
-            "--requests" => {
-                rc.requests = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| "--requests requires a positive integer".to_string())?,
-                );
-            }
-            "--duration-s" => {
-                rc.duration_s = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|d| *d > 0.0)
-                    .ok_or_else(|| "--duration-s requires a positive number".to_string())?;
-            }
-            "--windows" => {
-                rc.windows = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--windows requires a positive integer".to_string())?;
-            }
-            "--scheduler" => rc.scheduler_name = value.clone(),
-            "--batch" => {
-                rc.batch = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--batch requires a positive integer".to_string())?;
-            }
-            "--seed" => {
-                rc.seed = value
-                    .parse::<u64>()
-                    .map_err(|_| "--seed requires a non-negative integer".to_string())?;
-            }
-            "--jobs" => {
-                jobs = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--jobs requires a positive integer".to_string())?;
-            }
-            "--metrics-out" => metrics_out = Some(value.clone()),
-            other => {
-                return Err(format!(
-                    "unknown fleet flag '{other}'; expected --clusters | --gpus | --arrival | --util | --rate | --policy | --requests | --duration-s | --windows | --scheduler | --batch | --seed | --jobs | --metrics-out"
-                ));
-            }
-        }
-        i += 1;
-    }
+fn fleet_main(args: &Args<'_>) -> Result<ExitCode, String> {
+    let d = FleetRunCfg::default();
+    let rc = FleetRunCfg {
+        clusters: args.count("--clusters")?.unwrap_or(d.clusters),
+        gpus_per_cluster: args.count("--gpus")?.unwrap_or(d.gpus_per_cluster),
+        arrival_name: args.string("--arrival").unwrap_or(d.arrival_name),
+        utilization: args.positive("--util", "a positive fraction")?.unwrap_or(d.utilization),
+        rate: args.positive("--rate", "a positive number")?,
+        policy_name: args.string("--policy").unwrap_or(d.policy_name),
+        requests: args.count("--requests")?,
+        duration_s: args.positive("--duration-s", "a positive number")?.unwrap_or(d.duration_s),
+        windows: args.count("--windows")?.unwrap_or(d.windows),
+        scheduler_name: args.string("--scheduler").unwrap_or(d.scheduler_name),
+        batch: args.count("--batch")?.unwrap_or(d.batch),
+        seed: args.seed("--seed")?.unwrap_or(d.seed),
+    };
+    let jobs = args.count("--jobs")?.unwrap_or(1);
 
     let registry = mmg_telemetry::Registry::new();
     let memo = global_memo();
@@ -1177,273 +1078,91 @@ fn fleet_main(args: &[String]) -> Result<(), String> {
         run.cfg.clusters.len(),
         run.result.arrivals() as f64 / sim_wall_s.max(1e-9),
     );
-    if let Some(path) = &metrics_out {
-        let body = if path.ends_with(".json") {
-            let mut s = serde_json::to_string_pretty(&registry.snapshot_json())
-                .expect("registry snapshots always serialize");
-            s.push('\n');
-            s
-        } else {
-            registry.render_prometheus()
-        };
-        write_file(path, &body, "metrics")?;
+    if let Some(path) = args.get("--metrics-out") {
+        write_metrics(path, &registry)?;
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `repro bench-check <old> <new>` — compare two `bench-snapshot`
 /// outputs and exit nonzero when any figure regressed.
-fn bench_check_main(args: &[String]) -> Result<bool, String> {
+fn bench_check_main(args: &Args<'_>) -> Result<ExitCode, String> {
     use mmg_core::benchcheck;
 
-    let mut threshold = benchcheck::DEFAULT_THRESHOLD;
-    let mut min_wall_s = benchcheck::DEFAULT_MIN_WALL_S;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        match arg {
-            "--threshold" | "--min-wall-s" => {
-                i += 1;
-                let parsed = args
-                    .get(i)
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| *v >= 0.0)
-                    .ok_or_else(|| format!("{arg} requires a non-negative number"))?;
-                if arg == "--threshold" {
-                    threshold = parsed;
-                } else {
-                    min_wall_s = parsed;
-                }
-            }
-            other if other.starts_with("--") => {
-                return Err(format!(
-                    "unknown bench-check flag '{other}'; expected --threshold | --min-wall-s"
-                ));
-            }
-            _ => paths.push(&args[i]),
-        }
-        i += 1;
-    }
-    let [old_path, new_path] = paths[..] else {
-        return Err(
-            "usage: repro bench-check <old.json> <new.json> [--threshold <frac>] [--min-wall-s <s>]"
-                .to_string(),
-        );
+    let non_negative = |flag| args.parsed(flag, "a non-negative number", |v: &f64| *v >= 0.0);
+    let threshold = non_negative("--threshold")?.unwrap_or(benchcheck::DEFAULT_THRESHOLD);
+    let min_wall_s = non_negative("--min-wall-s")?.unwrap_or(benchcheck::DEFAULT_MIN_WALL_S);
+    let [old_path, new_path] = args.positional[..] else {
+        return Err(format!("usage: {}", usage_line("bench-check")));
     };
-    let read = |path: &String| -> Result<serde_json::Value, String> {
+    let read = |path: &str| -> Result<serde_json::Value, String> {
         let body = std::fs::read_to_string(path)
             .map_err(|e| format!("failed to read snapshot {path}: {e}"))?;
         serde_json::from_str(&body).map_err(|e| format!("snapshot {path} is not valid JSON: {e}"))
     };
-    let old = read(old_path)?;
-    let new = read(new_path)?;
-    let check = benchcheck::compare(&old, &new, threshold, min_wall_s);
+    let check = benchcheck::compare(&read(old_path)?, &read(new_path)?, threshold, min_wall_s);
     print!("{}", benchcheck::render(&check));
-    Ok(check.regressed())
+    Ok(if check.regressed() { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // `repro optimize` with any pass flag takes the dedicated
-    // single-configuration path; a bare `repro optimize` flows through
-    // the generic experiment loop below (full grid, --jobs/--json/...).
-    let opt_flags = ["--fuse", "--width", "--graph-capture", "--sampler-steps"];
-    if args.first().map(String::as_str) == Some("optimize")
-        && args.iter().any(|a| opt_flags.contains(&a.as_str()))
-    {
-        return match optimize_main(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+/// The experiment runner: `repro [flags] <target>…`, where a target is
+/// an experiment id, `all` or `bench-snapshot`.
+fn experiments_main(args: &Args<'_>) -> Result<ExitCode, String> {
+    if args.switch("--list") {
+        for e in ExperimentId::ALL {
+            println!("{e}");
+        }
+        return Ok(ExitCode::SUCCESS);
     }
-    if args.first().map(String::as_str) == Some("serve") {
-        return match serve_main(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("token") {
-        return match token_main(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("fleet") {
-        return match fleet_main(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("bench-check") {
-        return match bench_check_main(&args[1..]) {
-            Ok(false) => ExitCode::SUCCESS,
-            Ok(true) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let mut spec = DeviceSpec::a100_80gb();
-    let mut json = false;
+    let spec = device(args)?;
+    let jobs = args.count("--jobs")?.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+    });
+    let replications = args.count::<u64>("--replications")?;
+    let sweep_seed = args.seed("--sweep-seed")?.unwrap_or(42);
+    let manifest_path = args.string("--manifest");
     let mut bench = false;
-    let mut replications: Option<u64> = None;
-    let mut sweep_seed = 42u64;
-    let mut jobs: Option<usize> = None;
-    let mut out_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut manifest_path: Option<String> = None;
     let mut targets: Vec<ExperimentId> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--list" => {
-                for e in ExperimentId::ALL {
-                    println!("{e}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--json" => json = true,
-            "--device" => {
-                i += 1;
-                let Some(name) = args.get(i) else {
-                    eprintln!(
-                        "--device requires a name (a100 | a100-40gb | v100 | h100 | l4 | h200)"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                let Some(d) = device_by_name(name) else {
-                    eprintln!("unknown device '{name}'");
-                    return ExitCode::FAILURE;
-                };
-                spec = d;
-            }
-            "--jobs" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|n| n.parse::<usize>().ok());
-                let Some(n) = parsed.filter(|&n| n > 0) else {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                jobs = Some(n);
-            }
-            "--replications" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|n| n.parse::<u64>().ok());
-                let Some(n) = parsed.filter(|&n| n > 0) else {
-                    eprintln!("--replications requires a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                replications = Some(n);
-            }
-            "--sweep-seed" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|n| n.parse::<u64>().ok()) else {
-                    eprintln!("--sweep-seed requires a non-negative integer");
-                    return ExitCode::FAILURE;
-                };
-                sweep_seed = n;
-            }
-            flag @ ("--metrics" | "--trace-out" | "--manifest" | "--out") => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("{flag} requires an output path");
-                    return ExitCode::FAILURE;
-                };
-                match flag {
-                    "--metrics" => metrics_path = Some(path.clone()),
-                    "--trace-out" => trace_path = Some(path.clone()),
-                    "--out" => out_path = Some(path.clone()),
-                    _ => manifest_path = Some(path.clone()),
-                }
-            }
+    for &target in &args.positional {
+        match target {
             "bench-snapshot" => bench = true,
             "all" => targets.extend(ExperimentId::ALL),
-            other => match other.parse::<ExperimentId>() {
-                Ok(id) => targets.push(id),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+            id => targets.push(ExperimentId::from_str(id).map_err(|e| e.to_string())?),
         }
-        i += 1;
     }
     if bench {
-        return match bench_snapshot(&spec, out_path) {
-            Ok(path) => {
-                eprintln!("bench snapshot written to {path}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+        let path = bench_snapshot(&spec, args.string("--out"))?;
+        eprintln!("bench snapshot written to {path}");
+        return Ok(ExitCode::SUCCESS);
     }
     // Repeated targets (e.g. `repro fig6 all`) run once, first-mention order.
     let mut seen = std::collections::HashSet::new();
     targets.retain(|id| seen.insert(*id));
+    let started = Instant::now();
+    let memo = global_memo();
+    let registry = mmg_telemetry::global();
     if let Some(reps) = replications {
         // Replicated serving sweep: seed × scheduler × utilization grid
         // on the worker pool, deterministic for every --jobs.
         if !targets.iter().all(|&t| t == ExperimentId::ServeSweep) {
-            eprintln!("--replications applies only to the serve-sweep target");
-            return ExitCode::FAILURE;
+            return Err("--replications applies only to the serve-sweep target".to_string());
         }
-        let jobs = jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        });
-        let started = Instant::now();
-        let memo = global_memo();
-        let registry = mmg_telemetry::global();
         let result = mmg_core::experiments::serve_sweep::run_replicated(
             &spec, reps, sweep_seed, jobs, &memo, &registry,
         );
         println!("device: {}\n", spec.name);
         println!("{}", mmg_core::experiments::serve_sweep::render_replicated(&result));
         let targets = [ExperimentId::ServeSweep];
-        if let Err(e) =
-            emit_manifest(&spec, &targets, started.elapsed().as_secs_f64(), &registry, &manifest_path)
-        {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
+        emit_manifest(&spec, &targets, started.elapsed().as_secs_f64(), &registry, &manifest_path)?;
+        return Ok(ExitCode::SUCCESS);
     }
     if targets.is_empty() {
-        eprintln!("usage: repro [--device <name>] [--jobs <n>] [--json] [--metrics <path>] [--trace-out <path>] [--manifest <path>] [--replications <n> [--sweep-seed <n>]] <bench-snapshot | all | fig1 | table1 | fig4 | fig5 | fig6 | table2 | table3 | fig7 | fig8 | fig9 | fig11 | fig12 | fig13 | secv | flashdec | optimize | pods | batch | tp | ablations | serve-sweep | serve-timeline | serve-attrib | fleet-sweep | token-sweep | energy>…");
-        eprintln!("       repro optimize [--device <name>] [--fuse] [--width <fp16|fp8|int8>] [--graph-capture] [--sampler-steps <n>] [--jobs <n>]");
-        eprintln!("       repro serve [--device <name>] [--gpus <n>] [--mix <model:weight,…>] [--arrival <poisson|bursty|diurnal>] [--rate <rps>] [--scheduler <fifo|static|dynamic|pods>] [--batch <n>] [--router <rr|least-work|affinity>] [--slo-ms <ms>] [--duration-s <s>] [--requests <n>] [--seed <n>] [--metrics <path>] [--metrics-out <path>] [--trace-out <path>] [--jobs <n>] [--full-records] [--attrib]");
-        eprintln!("       repro fleet [--clusters <n>] [--gpus <per-cluster>] [--arrival <poisson|diurnal>] [--util <frac>] [--rate <rps>] [--policy <fixed|reactive|reactive+spot>] [--requests <n>] [--duration-s <s>] [--windows <n>] [--scheduler <fifo|static|dynamic|pods>] [--batch <n>] [--seed <n>] [--jobs <n>] [--metrics-out <path>]");
-        eprintln!("       repro token [--device <name>] [--model <llama|parti|muse>] [--gpus <n>] [--arrival <poisson|bursty|diurnal>] [--rate <rps>] [--util <frac>] [--prompt-len <tokens>] [--output-len <tokens>] [--kv-budget <gib>] [--scheduler <static|continuous>] [--batch <n>] [--policy <decode|prefill>] [--admission <prompt|reserve>] [--chunk <tokens>] [--duration-s <s>] [--requests <n>] [--seed <n>] [--metrics-out <path>] [--trace-out <path>] [--jobs <n>]");
-        eprintln!("       repro bench-check <old.json> <new.json> [--threshold <frac>] [--min-wall-s <s>]");
-        return ExitCode::FAILURE;
+        return Err(usage());
     }
-    let jobs = jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    });
-    let started = Instant::now();
-    let memo = global_memo();
-    let registry = mmg_telemetry::global();
     // Experiments run on the worker pool; printing and telemetry merge
     // happen in target order after the join, so stdout and counter
     // totals do not depend on `--jobs`.
-    if json {
+    if args.switch("--json") {
         let lines = run_suite_with(&targets, &spec, jobs, &memo, &registry, |id, ctx| {
             let envelope = Value::Object(vec![
                 ("experiment".to_string(), Value::from(id.to_string())),
@@ -1460,31 +1179,38 @@ fn main() -> ExitCode {
             println!("{report}");
         }
     }
-    if let Some(path) = &trace_path {
-        let trace = match unet_step_trace(&spec) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = write_file(path, &trace, "Chrome trace") {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+    if let Some(path) = args.get("--trace-out") {
+        write_file(path, &unet_step_trace(&spec)?, "Chrome trace")?;
+    }
+    if let Some(path) = args.get("--metrics") {
+        write_file(path, &registry.render_prometheus(), "metrics")?;
+    }
+    emit_manifest(&spec, &targets, started.elapsed().as_secs_f64(), &registry, &manifest_path)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Reads argv against the flag table of the subcommand it names, or the
+/// experiment runner's, and runs it.
+fn run(argv: &[String]) -> Result<ExitCode, String> {
+    if let Some((cmd, rest)) = argv.split_first() {
+        // A bare `repro optimize` is the grid experiment; a pass flag
+        // makes it the single-configuration subcommand.
+        let sub = SUBCOMMANDS.iter().find(|s| s.0 == cmd).filter(|s| {
+            s.0 != "optimize" || rest.iter().any(|a| PASS_FLAGS.contains(&a.as_str()))
+        });
+        if let Some(&(name, positional, table, entry)) = sub {
+            return entry(&Args::read(name, table, rest, !positional.is_empty())?);
         }
     }
-    let registry = mmg_telemetry::global();
-    if let Some(path) = &metrics_path {
-        if let Err(e) = write_file(path, &registry.render_prometheus(), "metrics") {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = emit_manifest(&spec, &targets, started.elapsed().as_secs_f64(), &registry, &manifest_path) {
+    experiments_main(&Args::read("repro", MAIN_FLAGS, argv, true)?)
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    run(&argv).unwrap_or_else(|e| {
         eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+        ExitCode::FAILURE
+    })
 }
 
 /// Emits the end-of-run manifest. Default: the deterministic form (no
@@ -1514,5 +1240,97 @@ fn emit_manifest(
             eprintln!("{{\"elapsed_s\":{elapsed_s}}}");
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TABLE: &[Flag] = &[("--seed", "<n>"), ("--rate", "<rps>"), ("--json", SWITCH)];
+
+    fn read<'a>(argv: &'a [String], positional: bool) -> Result<Args<'a>, String> {
+        Args::read("demo", TABLE, argv, positional)
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn last_occurrence_wins() {
+        let v = argv(&["--seed", "1", "--rate", "2", "--seed", "3"]);
+        let args = read(&v, false).unwrap();
+        assert_eq!(args.seed("--seed"), Ok(Some(3)));
+        assert_eq!(args.positive("--rate", "a positive number"), Ok(Some(2.0)));
+        assert_eq!(args.seed("--absent"), Ok(None));
+    }
+
+    #[test]
+    fn missing_value_names_the_flag() {
+        let err = read(&argv(&["--json", "--seed"]), false).err().unwrap();
+        assert_eq!(err, "--seed requires a value");
+    }
+
+    #[test]
+    fn unknown_flag_lists_the_table_in_order() {
+        let err = read(&argv(&["--seed", "1", "--bogus", "x"]), false).err().unwrap();
+        assert_eq!(err, "unknown demo flag '--bogus'; expected --seed | --rate | --json");
+        let v = argv(&["--bogus", "x"]);
+        let err = Args::read("serve", SERVE_FLAGS, &v, false).err().unwrap();
+        assert_eq!(
+            err,
+            "unknown serve flag '--bogus'; expected --device | --gpus | --mix | --arrival | --rate | --scheduler | --batch | --router | --slo-ms | --duration-s | --requests | --seed | --metrics | --metrics-out | --trace-out | --jobs | --full-records | --attrib"
+        );
+        assert_eq!(
+            usage_line("bench-check"),
+            "repro bench-check <old.json> <new.json> [--threshold <frac>] [--min-wall-s <s>]"
+        );
+    }
+
+    #[test]
+    fn switch_does_not_consume_the_next_argument() {
+        let v = argv(&["--json", "--seed", "7"]);
+        let args = read(&v, false).unwrap();
+        assert!(args.switch("--json"));
+        assert_eq!(args.seed("--seed"), Ok(Some(7)));
+        assert!(!read(&argv(&["--seed", "7"]), false).unwrap().switch("--json"));
+    }
+
+    #[test]
+    fn positional_arguments_only_where_the_table_takes_them() {
+        let err = read(&argv(&["--json", "fig4"]), false).err().unwrap();
+        assert!(err.starts_with("unknown demo flag 'fig4'"), "{err}");
+        let v = argv(&["fig4", "--json", "fig6"]);
+        assert_eq!(read(&v, true).unwrap().positional, ["fig4", "fig6"]);
+        let err = read(&argv(&["fig4", "--bogus"]), true).err().unwrap();
+        assert!(err.starts_with("unknown demo flag '--bogus'"), "{err}");
+    }
+
+    #[test]
+    fn positive_read_rejects_non_finite_zero_and_negative() {
+        for value in ["inf", "-inf", "infinity", "NaN", "0", "-1", "x"] {
+            let v = argv(&["--rate", value]);
+            assert_eq!(
+                read(&v, false).unwrap().positive("--rate", "a positive number"),
+                Err("--rate requires a positive number".to_string()),
+                "{value}"
+            );
+        }
+        let v = argv(&["--rate", "1e-3"]);
+        let rate = read(&v, false).unwrap().positive("--rate", "a positive number");
+        assert_eq!(rate, Ok(Some(1e-3)));
+    }
+
+    #[test]
+    fn count_and_seed_reads() {
+        let v = argv(&["--seed", "0", "--rate", "0"]);
+        let args = read(&v, false).unwrap();
+        assert_eq!(args.seed("--seed"), Ok(Some(0)));
+        let err = args.count::<usize>("--rate").unwrap_err();
+        assert_eq!(err, "--rate requires a positive integer");
+        let v = argv(&["--seed", "-1"]);
+        let err = read(&v, false).unwrap().seed("--seed").unwrap_err();
+        assert_eq!(err, "--seed requires a non-negative integer");
     }
 }

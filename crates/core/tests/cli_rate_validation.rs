@@ -1,9 +1,11 @@
-//! `--rate` must be a positive, finite number on every serving
-//! subcommand. An infinite arrival rate used to pass validation and make
-//! the simulation loop forever; it must now fail fast with the usual
-//! message instead. Likewise `repro token`'s length medians must lie in
-//! the interval their samples are clamped to, instead of being clamped
-//! silently.
+//! Every float flag of the serving subcommands must be a positive,
+//! finite number. An infinite arrival rate, horizon or utilization used
+//! to pass validation and make the simulation loop forever (and an
+//! infinite KV budget or SLO was used silently); each must now fail fast
+//! with the flag's usual message instead. Likewise `repro token`'s
+//! length medians must lie in the interval their samples are clamped
+//! to, instead of being clamped silently, and `--mix` weights must be
+//! finite. No bad input may end in a panic.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -12,8 +14,8 @@ use std::time::{Duration, Instant};
 /// a simulation with an infinite arrival rate would take (it never ends).
 const LIMIT: Duration = Duration::from_secs(10);
 
-/// Runs `repro <args>`, killing it if it outlives [`LIMIT`]. Returns
-/// whether it exited successfully and its stderr.
+/// Runs `repro <args>`, killing it if it outlives [`LIMIT`] and failing
+/// if it panics. Returns whether it exited successfully and its stderr.
 fn repro_bounded(args: &[&str]) -> (bool, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
@@ -34,7 +36,9 @@ fn repro_bounded(args: &[&str]) -> (bool, String) {
         std::thread::sleep(Duration::from_millis(20));
     };
     let out = child.wait_with_output().expect("collect repro stderr");
-    (status.success(), String::from_utf8(out.stderr).expect("stderr is UTF-8"))
+    let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert_ne!(status.code(), Some(101), "`repro {}` panicked: {stderr}", args.join(" "));
+    (status.success(), stderr)
 }
 
 #[test]
@@ -65,5 +69,33 @@ fn out_of_range_token_lengths_are_rejected_fast() {
         assert!(!ok, "`repro token {flag} {value}` must fail");
         let message = format!("{flag} requires a token count {limit}");
         assert!(stderr.contains(&message), "`repro token {flag} {value}` stderr: {stderr}");
+    }
+}
+
+#[test]
+fn non_finite_float_flags_are_rejected_fast() {
+    for (cmd, flag, message) in [
+        ("serve", "--duration-s", "--duration-s requires a positive number"),
+        ("serve", "--slo-ms", "--slo-ms requires a positive number"),
+        ("token", "--duration-s", "--duration-s requires a positive number"),
+        ("token", "--util", "--util requires a positive fraction"),
+        ("token", "--kv-budget", "--kv-budget requires a positive GiB count"),
+        ("fleet", "--duration-s", "--duration-s requires a positive number"),
+        ("fleet", "--util", "--util requires a positive fraction"),
+    ] {
+        for value in ["inf", "NaN"] {
+            let (ok, stderr) = repro_bounded(&[cmd, flag, value]);
+            assert!(!ok, "`repro {cmd} {flag} {value}` must fail");
+            assert!(stderr.contains(message), "`repro {cmd} {flag} {value}` stderr: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn non_finite_mix_weights_are_rejected_fast() {
+    for mix in ["sd:nan", "sd:inf", "sd:1e308,parti:1e308"] {
+        let (ok, stderr) = repro_bounded(&["serve", "--mix", mix]);
+        assert!(!ok, "`repro serve --mix {mix}` must fail");
+        assert!(stderr.contains("mix weight"), "`repro serve --mix {mix}` stderr: {stderr}");
     }
 }

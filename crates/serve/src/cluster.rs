@@ -153,6 +153,16 @@ impl SchedulerKind {
         }
     }
 
+    /// The batch-size cap: 1 for FIFO, else the batch target or cap.
+    #[must_use]
+    pub fn cap(&self) -> usize {
+        match *self {
+            SchedulerKind::Fifo => 1,
+            SchedulerKind::Static { batch, .. } => batch,
+            SchedulerKind::Dynamic { max_batch } | SchedulerKind::Pods { max_batch } => max_batch,
+        }
+    }
+
     /// Scheduler name as printed in reports.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -286,6 +296,21 @@ impl ScenarioCfg {
         self.attrib = true;
         self.slo_policy = Some(SloPolicy::paging(objective, self.duration_s));
         self
+    }
+
+    /// Checks the scenario, returning a description of the first
+    /// problem found: no GPUs, or a horizon that is not positive, or
+    /// infinite without a request cap.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.gpus == 0 {
+            return Err("need at least one GPU".into());
+        }
+        // An infinite horizon is fine when a request cap ends the arrivals.
+        let bounded = self.duration_s.is_finite() || self.max_requests.is_some();
+        if !(self.duration_s > 0.0 && bounded) {
+            return Err("duration must be positive, and finite without a request cap".into());
+        }
+        Ok(())
     }
 }
 
@@ -1357,8 +1382,8 @@ impl<'a> Sim<'a> {
 ///
 /// # Panics
 ///
-/// Panics if the scenario has no GPUs or references a model the profile
-/// has no curve for.
+/// Panics on an invalid scenario ([`ScenarioCfg::validate`]) or one
+/// that references a model the profile has no curve for.
 #[must_use]
 pub fn simulate(cfg: &ScenarioCfg, profile: &ServiceProfile, registry: &Registry) -> SimResult {
     let (result, _flight) = run(cfg, profile, registry, None, None);
@@ -1416,8 +1441,9 @@ fn run<'a>(
     flight: Option<FlightRecorder>,
     source: Option<&'a mut dyn ArrivalSource>,
 ) -> (SimResult, Option<FlightRecorder>) {
-    assert!(cfg.gpus >= 1, "need at least one GPU");
-    assert!(cfg.duration_s > 0.0, "duration must be positive");
+    if let Err(e) = cfg.validate() {
+        panic!("invalid scenario: {e}");
+    }
     for model in cfg.mix.models() {
         assert!(profile.curve(model).is_some(), "no service curve for {model}");
     }
@@ -1975,6 +2001,25 @@ mod tests {
         );
         assert_eq!(SchedulerKind::parse("fifo", 8).unwrap().name(), "fifo");
         assert!(SchedulerKind::parse("edf", 8).is_err());
+        for (name, cap) in [("fifo", 1), ("static", 8), ("dynamic", 8), ("pods", 8)] {
+            assert_eq!(SchedulerKind::parse(name, 8).unwrap().cap(), cap, "{name}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_no_gpus_and_bad_horizons() {
+        assert_eq!(scenario(SchedulerKind::Fifo, 1.0, 10.0).validate(), Ok(()));
+        let mut no_gpus = scenario(SchedulerKind::Fifo, 1.0, 10.0);
+        no_gpus.gpus = 0;
+        assert_eq!(no_gpus.validate().unwrap_err(), "need at least one GPU");
+        for duration_s in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let cfg = scenario(SchedulerKind::Fifo, 1.0, duration_s);
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err, "duration must be positive, and finite without a request cap");
+        }
+        let mut capped = scenario(SchedulerKind::Fifo, 1.0, f64::INFINITY);
+        capped.max_requests = Some(10);
+        assert_eq!(capped.validate(), Ok(()));
     }
 
     /// The conservation invariant, bitwise: for every completed request

@@ -184,22 +184,32 @@ pub struct TokenScenarioCfg {
 }
 
 impl TokenScenarioCfg {
-    /// Validates the scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero GPUs, a zero batch cap, a zero prefill chunk, a
-    /// non-positive horizon, or a non-AR model.
-    pub fn validate(&self) {
-        assert!(self.gpus > 0, "need at least one GPU");
-        assert!(self.batching.cap() > 0, "batch cap must be positive");
-        assert!(self.chunk_tokens > 0, "prefill chunk must be positive");
-        assert!(self.duration_s > 0.0, "duration must be positive");
-        assert!(
-            TokenServiceCurve::supports(self.model),
-            "{} is not autoregressive; token serving needs llama | parti | muse",
-            self.model
-        );
+    /// Checks the scenario, returning a description of the first
+    /// problem found: zero GPUs, a zero batch cap, a zero prefill chunk,
+    /// a horizon that is not positive (or is infinite without a request
+    /// cap), or a non-AR model.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.gpus == 0 {
+            return Err("need at least one GPU".into());
+        }
+        if self.batching.cap() == 0 {
+            return Err("batch cap must be positive".into());
+        }
+        if self.chunk_tokens == 0 {
+            return Err("prefill chunk must be positive".into());
+        }
+        // An infinite horizon is fine when a request cap ends the arrivals.
+        let bounded = self.duration_s.is_finite() || self.max_requests.is_some();
+        if !(self.duration_s > 0.0 && bounded) {
+            return Err("duration must be positive, and finite without a request cap".into());
+        }
+        if !TokenServiceCurve::supports(self.model) {
+            return Err(format!(
+                "{} is not autoregressive; token serving needs llama | parti | muse",
+                self.model
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -881,7 +891,9 @@ pub fn simulate_token(
     kv_budget_bytes: u64,
     registry: &Registry,
 ) -> TokenSimResult {
-    cfg.validate();
+    if let Err(e) = cfg.validate() {
+        panic!("invalid token scenario: {e}");
+    }
     assert_eq!(cfg.model, curve.model, "scenario/curve model mismatch");
     TokenSim::new(cfg, curve, kv_budget_bytes, registry, None).run(registry).0
 }
@@ -889,6 +901,10 @@ pub fn simulate_token(
 /// Like [`simulate_token`] with the flight recorder attached: iteration
 /// batches land on per-GPU lanes, arrivals/completions on the cluster
 /// lane.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`simulate_token`].
 #[must_use]
 pub fn simulate_token_recorded(
     cfg: &TokenScenarioCfg,
@@ -897,7 +913,9 @@ pub fn simulate_token_recorded(
     registry: &Registry,
     flight_cfg: FlightCfg,
 ) -> (TokenSimResult, FlightRecorder) {
-    cfg.validate();
+    if let Err(e) = cfg.validate() {
+        panic!("invalid token scenario: {e}");
+    }
     assert_eq!(cfg.model, curve.model, "scenario/curve model mismatch");
     let recorder = FlightRecorder::new(flight_cfg, cfg.gpus);
     let (result, flight) =
@@ -945,6 +963,28 @@ mod tests {
     }
 
     const AMPLE: u64 = 64 << 30;
+
+    #[test]
+    fn validate_reports_each_bad_field() {
+        let base = || base_cfg(TokenBatching::Continuous { max_batch: 16 }, 1);
+        assert_eq!(base().validate(), Ok(()));
+        type Spoil = fn(&mut TokenScenarioCfg);
+        let cases: [(Spoil, &str); 7] = [
+            (|c| c.gpus = 0, "need at least one GPU"),
+            (|c| c.batching = TokenBatching::Static { batch: 0 }, "batch cap must be positive"),
+            (|c| c.chunk_tokens = 0, "prefill chunk must be positive"),
+            (|c| c.duration_s = 0.0, "duration must be positive"),
+            (|c| c.duration_s = f64::NAN, "duration must be positive"),
+            (|c| c.duration_s = f64::INFINITY, "finite without a request cap"),
+            (|c| c.model = ModelId::StableDiffusion, "is not autoregressive"),
+        ];
+        for (spoil, message) in cases {
+            let mut cfg = base();
+            spoil(&mut cfg);
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(message), "{err}");
+        }
+    }
 
     #[test]
     fn run_completes_and_conserves_kv() {

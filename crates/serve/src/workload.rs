@@ -428,13 +428,16 @@ impl RequestMix {
                 }
                 None => (part.trim(), 1.0),
             };
-            if weight <= 0.0 {
+            if !(weight.is_finite() && weight > 0.0) {
                 return Err(format!("mix weight in '{part}' must be positive"));
             }
             entries.push((parse_model(name)?, weight));
         }
         if entries.is_empty() {
             return Err("empty request mix".to_string());
+        }
+        if !entries.iter().map(|(_, w)| w).sum::<f64>().is_finite() {
+            return Err(format!("total mix weight of '{spec}' overflows"));
         }
         for (i, (id, _)) in entries.iter().enumerate() {
             if entries[..i].iter().any(|(other, _)| other == id) {
@@ -664,6 +667,9 @@ mod tests {
         assert!((mix.share(ModelId::Muse) - 0.5).abs() < 1e-12);
         assert!(RequestMix::parse("").is_err());
         assert!(RequestMix::parse("sd:0").is_err());
+        for bad in ["sd:nan", "sd:inf", "sd:-inf", "sd:1e308,parti:1e308"] {
+            assert!(RequestMix::parse(bad).is_err(), "{bad}");
+        }
         assert!(RequestMix::parse("sd:8,sd:2").is_err());
         assert!(RequestMix::parse("notamodel:1").is_err());
     }

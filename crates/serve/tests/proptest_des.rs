@@ -154,11 +154,7 @@ proptest! {
         let scheduler = scheduler_from(sel, batch, wait_s);
         let cfg = scenario(gpus, rate, scheduler, 30.0, seed);
         let r = simulate(&cfg, &profile(0.3), &Registry::new());
-        let cap = match scheduler {
-            SchedulerKind::Fifo => 1,
-            SchedulerKind::Static { batch, .. } => batch,
-            SchedulerKind::Dynamic { max_batch } | SchedulerKind::Pods { max_batch } => max_batch,
-        };
+        let cap = scheduler.cap();
         for rec in &r.records {
             prop_assert!(rec.start_s >= rec.arrival_s - 1e-12);
             prop_assert!(rec.finish_s > rec.start_s);
