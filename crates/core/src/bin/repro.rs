@@ -771,6 +771,10 @@ fn token_main(args: &Args<'_>) -> Result<ExitCode, String> {
     let prompt_len = length("--prompt-len", PROMPT_TOKENS)?.unwrap_or(512.0);
     let output_len = length("--output-len", OUTPUT_TOKENS)?.unwrap_or(128.0);
     let kv_budget_gib = args.positive("--kv-budget", "a positive GiB count")?;
+    // The ledger counts `u64` bytes: a count past them is refused, not saturated.
+    if kv_budget_gib.is_some_and(|g| g * GIB >= u64::MAX as f64) {
+        return Err("--kv-budget requires a positive GiB count".into());
+    }
     let batch = args.count("--batch")?.unwrap_or(16);
     let chunk = args.count("--chunk")?.unwrap_or(256);
     let duration_s = args.positive("--duration-s", "a positive number")?;

@@ -5,7 +5,8 @@
 //! with the flag's usual message instead. Likewise `repro token`'s
 //! length medians must lie in the interval their samples are clamped
 //! to, instead of being clamped silently, and `--mix` weights must be
-//! finite. No bad input may end in a panic.
+//! finite, and `--kv-budget` must count bytes that fit in `u64`
+//! instead of saturating. No bad input may end in a panic.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -98,4 +99,19 @@ fn non_finite_mix_weights_are_rejected_fast() {
         assert!(!ok, "`repro serve --mix {mix}` must fail");
         assert!(stderr.contains("mix weight"), "`repro serve --mix {mix}` stderr: {stderr}");
     }
+}
+
+#[test]
+fn kv_budgets_past_u64_bytes_are_rejected_fast() {
+    // 2^34 GiB is exactly 2^64 bytes, the first count that cannot fit.
+    for value in ["1e300", "1.8e10", "17179869184"] {
+        let (ok, stderr) = repro_bounded(&["token", "--kv-budget", value]);
+        assert!(!ok, "`repro token --kv-budget {value}` must fail");
+        assert!(
+            stderr.contains("--kv-budget requires a positive GiB count"),
+            "`repro token --kv-budget {value}` stderr: {stderr}"
+        );
+    }
+    let (ok, stderr) = repro_bounded(&["token", "--kv-budget", "17179869183", "--duration-s", "1"]);
+    assert!(ok, "the largest whole GiB count that fits must run: {stderr}");
 }

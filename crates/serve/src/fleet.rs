@@ -558,6 +558,20 @@ impl FleetResult {
     }
 }
 
+/// `v` right-aligned in a `width`-column table cell at `prec` decimals.
+/// A value too wide for that drops decimals one at a time, then falls
+/// back to exponent form, so an overloaded run's large figures never
+/// push later columns past the header; a value that fits renders as
+/// `{v:>width$.prec$}`.
+fn cell(v: f64, width: usize, prec: usize) -> String {
+    (0..=prec)
+        .rev()
+        .map(|p| format!("{v:>width$.p$}"))
+        .chain((0..=2).rev().map(|p| format!("{v:>width$.p$e}")))
+        .find(|s| s.len() <= width)
+        .unwrap_or_else(|| format!("{v:>width$.0e}"))
+}
+
 /// A rendered fleet report: the deterministic text the `repro fleet`
 /// subcommand prints (and CI byte-compares across `--jobs`).
 #[derive(Debug, Clone, PartialEq)]
@@ -599,20 +613,20 @@ impl FleetReport {
             };
             let p99 = c.latency.quantile(0.99).unwrap_or(0.0);
             out.push_str(&format!(
-                "| {:<9} | {:<9} | {:>7} | {:>10} | {:>5.1}% | {:>5.3} | {:>8.1} | {:>8.2} | {:>8.3} | {:>8.1} | {:>8.3} | {:>8.2} | {:>8.3} |\n",
+                "| {:<9} | {:<9} | {:>7} | {:>10} | {}% | {} | {} | {} | {} | {} | {} | {} | {} |\n",
                 c.name,
                 c.sku,
                 gpus,
                 c.arrivals,
-                100.0 * c.slo_attainment(),
-                c.utilization(),
-                c.gpu_hours,
-                c.cost_usd,
-                c.cost_per_1k(),
-                c.energy_wh,
-                c.wh_per_1k_good(),
-                c.cost_with_energy_usd(),
-                p99,
+                cell(100.0 * c.slo_attainment(), 5, 1),
+                cell(c.utilization(), 5, 3),
+                cell(c.gpu_hours, 8, 1),
+                cell(c.cost_usd, 8, 2),
+                cell(c.cost_per_1k(), 8, 3),
+                cell(c.energy_wh, 8, 1),
+                cell(c.wh_per_1k_good(), 8, 3),
+                cell(c.cost_with_energy_usd(), 8, 2),
+                cell(p99, 8, 3),
             ));
         }
         out.push_str(
@@ -650,8 +664,14 @@ impl FleetReport {
             // billed GPU-seconds. 0 for unmetered fleets.
             let watts = if w.gpu_s > 0.0 { w.energy_j / w.gpu_s } else { 0.0 };
             out.push_str(&format!(
-                "| [{:>7.0}, {:>7.0}) | {:>10} | {:>10} | {:>5.1}% | {:>5.3} | {:>8.1} |\n",
-                t0, t1, w.arrivals, w.completed, slo, util, watts,
+                "| [{}, {}) | {:>10} | {:>10} | {}% | {} | {} |\n",
+                cell(t0, 7, 0),
+                cell(t1, 7, 0),
+                w.arrivals,
+                w.completed,
+                cell(slo, 5, 1),
+                cell(util, 5, 3),
+                cell(watts, 8, 1),
             ));
         }
         out.push_str("+--------------------+------------+------------+--------+-------+----------+\n");
@@ -1398,6 +1418,53 @@ mod tests {
         dyn_fleet.scheduler = SchedulerKind::Dynamic { max_batch: 8 };
         let dyn_res = run_cluster(&dyn_fleet, 0, &metered, &Registry::new());
         assert!(dyn_res.energy_wh > 0.0, "general lane lost the energy integral");
+    }
+
+    #[test]
+    fn overloaded_report_cells_fit_their_columns() {
+        let fleet = test_fleet(2);
+        let base = run_cluster(&fleet, 0, &test_profile(), &Registry::new());
+        // Figures as large as an overloaded fleet's (util 5: Wh/1k-ok
+        // 130963.396, p99 8171.813 s) and far beyond.
+        let mut big = base.clone();
+        big.name = "big".into();
+        big.on_time = 1000;
+        big.energy_wh = 130_963.396;
+        big.busy_s = big.gpu_hours * 3600.0 * 50.3;
+        let mut huge = big.clone();
+        huge.name = "huge".into();
+        (huge.gpu_hours, huge.cost_usd, huge.energy_wh) = (1e7, 1e12, 1e300);
+        let result = FleetResult::from_clusters(vec![base, big, huge]);
+        let text = FleetReport::new(&fleet, &result).render().to_string();
+        assert!(text.contains("| 130963.4 |"), "{text}");
+        assert!(text.contains("| 1.00e300 |"), "{text}");
+        assert!(text.contains("| 50.30 |"), "{text}");
+        // Every line of each table is as long as the table's header.
+        for table in text.split("\n\n") {
+            let rows: Vec<&str> = table.lines().filter(|l| l.starts_with(['+', '|'])).collect();
+            for row in &rows {
+                assert_eq!(row.len(), rows[0].len(), "misaligned row in\n{text}");
+            }
+        }
+        // A row that fits renders exactly as at its usual precision.
+        let c = &result.clusters[0];
+        let usual = format!(
+            "| {:<9} | {:<9} | {:>7} | {:>10} | {:>5.1}% | {:>5.3} | {:>8.1} | {:>8.2} | {:>8.3} | {:>8.1} | {:>8.3} | {:>8.2} | {:>8.3} |",
+            c.name,
+            c.sku,
+            c.min_gpus,
+            c.arrivals,
+            100.0 * c.slo_attainment(),
+            c.utilization(),
+            c.gpu_hours,
+            c.cost_usd,
+            c.cost_per_1k(),
+            c.energy_wh,
+            c.wh_per_1k_good(),
+            c.cost_with_energy_usd(),
+            c.latency.quantile(0.99).unwrap_or(0.0),
+        );
+        assert_eq!(text.lines().nth(5), Some(usual.as_str()));
     }
 
     #[test]

@@ -416,28 +416,67 @@ pub struct TokenServiceCurve {
     pub weight_bytes: u64,
 }
 
-/// Piecewise-linear read of ascending `(x, y)` knots at `x`: clamp
-/// below the first knot, marginal-slope extrapolation above the last
-/// (flat for a single knot), linear interpolation between.
-fn interp_ascending(knots: &[(f64, f64)], x: f64) -> f64 {
-    debug_assert!(!knots.is_empty());
-    let first = knots[0];
+/// Piecewise-linear read at `x` of `n` ascending `(x, y)` knots, the
+/// `i`-th read in place through `knot(i)`: clamp below the first knot,
+/// marginal-slope extrapolation above the last (flat for a single
+/// knot), linear interpolation between. The one interpolation formula
+/// behind every [`TokenServiceCurve`] read.
+fn interp_knots(n: usize, knot: impl Fn(usize) -> (f64, f64), x: f64) -> f64 {
+    debug_assert!(n > 0);
+    let first = knot(0);
     if x <= first.0 {
         return first.1;
     }
-    let last = knots[knots.len() - 1];
+    let last = knot(n - 1);
     if x >= last.0 {
-        if knots.len() < 2 {
+        if n < 2 {
             return last.1;
         }
-        let prev = knots[knots.len() - 2];
+        let prev = knot(n - 2);
         let slope = (last.1 - prev.1) / (last.0 - prev.0);
         return last.1 + slope * (x - last.0);
     }
-    let hi = knots.iter().position(|&(kx, _)| kx > x).expect("bracketing knot");
-    let (x0, y0) = knots[hi - 1];
-    let (x1, y1) = knots[hi];
+    let hi = (1..n).find(|&i| knot(i).0 > x).expect("bracketing knot");
+    let (x0, y0) = knot(hi - 1);
+    let (x1, y1) = knot(hi);
     y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+}
+
+/// A [`TokenServiceCurve`]'s decode-step costs with the batch axis read
+/// once for every batch size `1..=cap`: what is left per query is one
+/// context-axis interpolation over a precomputed row. Built once per
+/// run by the token engine; [`StepTable::step_s`] returns exactly the
+/// bits of [`TokenServiceCurve::step_s`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StepTable {
+    /// Context knots as `f64`, ascending.
+    ctx: Vec<f64>,
+    /// `cost[(batch - 1) * ctx.len() + ci]`: the batch-axis read of
+    /// context row `ci` at `batch`.
+    cost: Vec<f64>,
+}
+
+impl StepTable {
+    /// The largest batch the table covers.
+    #[must_use]
+    pub(crate) fn cap(&self) -> usize {
+        self.cost.len() / self.ctx.len()
+    }
+
+    /// Seconds for one decode iteration of `batch` sequences whose mean
+    /// resident context is `ctx_tokens`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero or above [`StepTable::cap`].
+    #[must_use]
+    pub(crate) fn step_s(&self, batch: usize, ctx_tokens: f64) -> f64 {
+        let cap = self.cap();
+        assert!(batch > 0 && batch <= cap, "batch {batch} outside the table's 1..={cap}");
+        let n = self.ctx.len();
+        let row = &self.cost[(batch - 1) * n..batch * n];
+        interp_knots(n, |i| (self.ctx[i], row[i]), ctx_tokens)
+    }
 }
 
 impl TokenServiceCurve {
@@ -551,13 +590,30 @@ impl TokenServiceCurve {
     #[must_use]
     pub fn step_s(&self, batch: usize, ctx_tokens: f64) -> f64 {
         assert!(batch > 0, "batch must be positive");
-        let per_ctx: Vec<(f64, f64)> = self
-            .ctx_knots
-            .iter()
-            .zip(&self.step_s)
-            .map(|(&ctx, row)| (ctx as f64, interp_batch(&self.batch_knots, row, batch)))
+        interp_knots(
+            self.ctx_knots.len(),
+            |i| (self.ctx_knots[i] as f64, interp_batch(&self.batch_knots, &self.step_s[i], batch)),
+            ctx_tokens,
+        )
+    }
+
+    /// The decode-step costs of every batch size `1..=cap`, tabulated
+    /// once so that a run's per-iteration reads skip the batch axis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is zero.
+    #[must_use]
+    pub(crate) fn step_table(&self, cap: usize) -> StepTable {
+        assert!(cap > 0, "cap must be positive");
+        let knots = &self.batch_knots;
+        let cost = (1..=cap)
+            .flat_map(|b| self.step_s.iter().map(move |row| interp_batch(knots, row, b)))
             .collect();
-        interp_ascending(&per_ctx, ctx_tokens)
+        StepTable {
+            ctx: self.ctx_knots.iter().map(|&c| c as f64).collect(),
+            cost,
+        }
     }
 
     /// Cumulative seconds to prefill a prompt's first `tokens` tokens
@@ -568,10 +624,14 @@ impl TokenServiceCurve {
         if self.prefill_s.is_empty() || tokens <= 0.0 {
             return 0.0;
         }
-        let mut knots: Vec<(f64, f64)> = Vec::with_capacity(self.prefill_s.len() + 1);
-        knots.push((0.0, 0.0));
-        knots.extend(self.prefill_s.iter().map(|&(n, s)| (n as f64, s)));
-        interp_ascending(&knots, tokens)
+        let knot = |i: usize| match i {
+            0 => (0.0, 0.0),
+            _ => {
+                let (n, s) = self.prefill_s[i - 1];
+                (n as f64, s)
+            }
+        };
+        interp_knots(self.prefill_s.len() + 1, knot, tokens)
     }
 
     /// Seconds to advance one sequence's prefill from token `from` to
@@ -600,12 +660,11 @@ fn interp_batch(knots: &[usize], row: &[f64], b: usize) -> f64 {
     if let Some(i) = knots.iter().position(|&k| k == b) {
         return row[i];
     }
-    let pts: Vec<(f64, f64)> = knots.iter().map(|&k| k as f64).zip(row.iter().copied()).collect();
     if knots.len() == 1 {
         // Single-knot batch axis: no batching benefit, scale linearly.
         return row[0] / knots[0] as f64 * b as f64;
     }
-    interp_ascending(&pts, b as f64)
+    interp_knots(knots.len(), |i| (knots[i] as f64, row[i]), b as f64)
 }
 
 /// FP16 KV-cache bytes one resident token costs: K and V vectors of

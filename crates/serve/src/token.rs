@@ -19,8 +19,9 @@
 //!   overflow is resolved by preempting the youngest sequence for
 //!   later recompute.
 //! - **Profiler-grounded step costs** — every iteration's duration is
-//!   a [`TokenServiceCurve`] query, so batch-size amortization and
-//!   context-length KV traffic come from the real kernel lowering.
+//!   a [`TokenServiceCurve`] read (through the run's step table), so
+//!   batch-size amortization and context-length KV traffic come from
+//!   the real kernel lowering.
 //!
 //! Latency decomposes into the phases production serving is judged on:
 //! queue wait, TTFT (time-to-first-token) and TPOT (time-per-output-
@@ -37,7 +38,7 @@ use crate::cluster::LATENCY_SKETCH_EPS;
 use crate::des::EventQueue;
 use crate::flight::{FlightCfg, FlightRecorder};
 use crate::kv::{KvAdmission, KvLedger};
-use crate::profile::TokenServiceCurve;
+use crate::profile::{StepTable, TokenServiceCurve};
 use crate::workload::{model_short_name, ArrivalGen, ArrivalProcess, LengthDist, LengthSampler};
 
 /// How requests are grouped onto a GPU.
@@ -422,6 +423,9 @@ struct GpuState {
 struct TokenSim<'a> {
     cfg: &'a TokenScenarioCfg,
     curve: &'a TokenServiceCurve,
+    /// The curve's step costs for every batch up to the cap, built per
+    /// run so each iteration is one context-axis read.
+    steps: StepTable,
     queue: EventQueue<Event>,
     gpus: Vec<GpuState>,
     slots: Vec<Seq>,
@@ -453,6 +457,7 @@ impl<'a> TokenSim<'a> {
         TokenSim {
             cfg,
             curve,
+            steps: curve.step_table(cfg.batching.cap()),
             queue: EventQueue::new(),
             gpus: (0..cfg.gpus)
                 .map(|_| GpuState {
@@ -669,7 +674,7 @@ impl<'a> TokenSim<'a> {
         }
         if n_decode > 0 {
             let mean_ctx = ctx_sum as f64 / n_decode as f64;
-            iter_s += self.curve.step_s(n_decode, mean_ctx);
+            iter_s += self.steps.step_s(n_decode, mean_ctx);
             self.stats.decode_batch_sum += n_decode as u64;
             self.stats.decode_iterations += 1;
         }
@@ -963,6 +968,139 @@ mod tests {
     }
 
     const AMPLE: u64 = 64 << 30;
+
+    /// The curves the step table must reproduce: the toy curve, the
+    /// three profiled AR models on an A100, and a single-knot batch axis.
+    fn table_curves() -> Vec<TokenServiceCurve> {
+        let profiler = mmg_profiler::Profiler::new(
+            mmg_gpu::DeviceSpec::a100_80gb(),
+            mmg_attn::AttnImpl::Flash,
+        );
+        let mut curves = vec![toy_curve()];
+        for model in [ModelId::Llama2, ModelId::Parti, ModelId::Muse] {
+            curves.push(TokenServiceCurve::from_profiler(&profiler, model));
+        }
+        let mut single = toy_curve();
+        single.batch_knots = vec![4];
+        single.step_s = vec![vec![0.007], vec![0.009]];
+        curves.push(single);
+        curves
+    }
+
+    /// Contexts below the first knot, on each knot, between knots (and
+    /// just off each knot) and above the last.
+    fn probe_contexts(knots: &[usize]) -> Vec<f64> {
+        let mut ctx = vec![0.0, 1.0];
+        for w in knots.windows(2) {
+            ctx.push((w[0] + w[1]) as f64 / 2.0);
+        }
+        for &k in knots {
+            let k = k as f64;
+            ctx.extend([k - 0.5, k, k + 0.5]);
+        }
+        let last = knots[knots.len() - 1] as f64;
+        ctx.extend([last * 1.5, last * 4.0 + 3.0]);
+        ctx
+    }
+
+    /// The slice-and-`Vec` reads the curve used before its knots were
+    /// read in place, kept as an oracle for the in-place reads' bits.
+    fn oracle_interp(knots: &[(f64, f64)], x: f64) -> f64 {
+        let (first, last) = (knots[0], knots[knots.len() - 1]);
+        if x <= first.0 {
+            return first.1;
+        }
+        if x >= last.0 {
+            if knots.len() < 2 {
+                return last.1;
+            }
+            let prev = knots[knots.len() - 2];
+            let slope = (last.1 - prev.1) / (last.0 - prev.0);
+            return last.1 + slope * (x - last.0);
+        }
+        let hi = knots.iter().position(|&(kx, _)| kx > x).unwrap();
+        let ((x0, y0), (x1, y1)) = (knots[hi - 1], knots[hi]);
+        y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    }
+
+    fn oracle_step_s(curve: &TokenServiceCurve, batch: usize, ctx: f64) -> f64 {
+        let knots = &curve.batch_knots;
+        let per_ctx: Vec<(f64, f64)> = curve
+            .ctx_knots
+            .iter()
+            .zip(&curve.step_s)
+            .map(|(&c, row)| {
+                let y = if let Some(i) = knots.iter().position(|&k| k == batch) {
+                    row[i]
+                } else if knots.len() == 1 {
+                    row[0] / knots[0] as f64 * batch as f64
+                } else {
+                    let pts: Vec<(f64, f64)> =
+                        knots.iter().map(|&k| k as f64).zip(row.iter().copied()).collect();
+                    oracle_interp(&pts, batch as f64)
+                };
+                (c as f64, y)
+            })
+            .collect();
+        oracle_interp(&per_ctx, ctx)
+    }
+
+    fn oracle_prefill_cum_s(curve: &TokenServiceCurve, tokens: f64) -> f64 {
+        if curve.prefill_s.is_empty() || tokens <= 0.0 {
+            return 0.0;
+        }
+        let mut knots = vec![(0.0, 0.0)];
+        knots.extend(curve.prefill_s.iter().map(|&(n, s)| (n as f64, s)));
+        oracle_interp(&knots, tokens)
+    }
+
+    #[test]
+    fn step_table_matches_step_s_bitwise() {
+        let cap = 100; // above the last batch knot (64): extrapolation too
+        for curve in table_curves() {
+            let table = curve.step_table(cap);
+            assert_eq!(table.cap(), cap);
+            for batch in 1..=cap {
+                for ctx in probe_contexts(&curve.ctx_knots) {
+                    let want = oracle_step_s(&curve, batch, ctx).to_bits();
+                    let at = format!("{} batch {batch} ctx {ctx}", curve.model);
+                    assert_eq!(curve.step_s(batch, ctx).to_bits(), want, "{at}");
+                    assert_eq!(table.step_s(batch, ctx).to_bits(), want, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the table")]
+    fn step_table_rejects_batches_above_its_cap() {
+        let _ = toy_curve().step_table(8).step_s(9, 256.0);
+    }
+
+    #[test]
+    fn prefill_chunk_is_the_cumulative_difference() {
+        for curve in table_curves() {
+            let mut bounds = vec![0usize, 1];
+            for &(n, _) in &curve.prefill_s {
+                // Chunks that end on, end before, start on and straddle
+                // each prefill knot.
+                bounds.extend([n - 1, n, n + 1, n.saturating_sub(100), n + 100]);
+            }
+            for &from in &bounds {
+                let cum = |n: usize| oracle_prefill_cum_s(&curve, n as f64);
+                assert_eq!(curve.prefill_cum_s(from as f64).to_bits(), cum(from).to_bits());
+                for &to in &bounds {
+                    let want = (cum(to) - cum(from)).max(0.0);
+                    assert_eq!(
+                        curve.prefill_chunk_s(from, to).to_bits(),
+                        want.to_bits(),
+                        "{} chunk {from}..{to}",
+                        curve.model
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn validate_reports_each_bad_field() {
