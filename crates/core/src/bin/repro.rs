@@ -10,8 +10,6 @@
 //! repro --metrics m.txt …      # Prometheus dump of telemetry counters
 //! repro --trace-out t.json …   # Perfetto trace of one SD UNet step
 //! repro --manifest run.json …  # run manifest (device, ids, counters)
-//! repro bench-snapshot         # time each experiment → BENCH_<date>.json
-//! repro bench-check old new    # diff two snapshots; exit 1 on regression
 //! repro serve --gpus 4 --mix sd:8,parti:2 --scheduler dynamic --slo-ms 2000
 //!                              # serving-cluster DES (see `serve` below)
 //! repro token --model llama --gpus 2 --scheduler continuous --util 0.8
@@ -89,8 +87,8 @@ use std::time::Instant;
 
 use mmg_attn::AttnImpl;
 use mmg_core::{
-    global_memo, run_experiment_value_with, run_experiment_with, run_manifest, run_suite,
-    run_suite_with, ExecContext, ExperimentId,
+    global_memo, run_experiment_value_with, run_manifest, run_suite, run_suite_with, ExecContext,
+    ExperimentId,
 };
 use mmg_gpu::DeviceSpec;
 use mmg_models::{suite, ModelId};
@@ -128,209 +126,6 @@ fn write_file(path: &str, contents: &str, what: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {what} to '{path}': {e}"))
 }
 
-/// Days-since-epoch → proleptic Gregorian `(year, month, day)`
-/// (Howard Hinnant's `civil_from_days`), so the bench snapshot can stamp
-/// its filename without a calendar dependency.
-fn civil_from_days(days: i64) -> (i64, u32, u32) {
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-fn today_stamp() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days(secs.div_euclid(86_400));
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Times every experiment serially (sharing the process memo, so later
-/// experiments see the warm entries earlier ones created — the shipped
-/// behaviour) and writes `{experiment → wall seconds}` plus memo
-/// statistics to `path` (default `BENCH_<date>.json`).
-fn bench_snapshot(spec: &DeviceSpec, path: Option<String>) -> Result<String, String> {
-    let memo = global_memo();
-    let ctx = ExecContext::isolated(spec.clone(), memo.clone());
-    let started = Instant::now();
-    let mut entries = Vec::new();
-    for &id in &ExperimentId::ALL {
-        let t0 = Instant::now();
-        let _ = run_experiment_with(id, &ctx);
-        entries.push((id.to_string(), Value::from(t0.elapsed().as_secs_f64())));
-    }
-    // Serving fast-path figure: one streaming (constant-memory) run of
-    // the cluster DES at ~0.8 utilization, sized to ~2M arrivals, so the
-    // snapshot tracks simulated-requests-per-second alongside the
-    // experiment timings.
-    let serve = {
-        use mmg_serve::{
-            simulate, ArrivalProcess, RequestMix, ScenarioCfg, SchedulerKind, ServiceProfile,
-            SloSpec,
-        };
-        let profiler = ctx.profiler(AttnImpl::Flash);
-        let mix = RequestMix::parse("sd:8,parti:2")?;
-        let models: Vec<ModelId> = mix.models().collect();
-        let profile = ServiceProfile::from_profiler(&profiler, &models, &[1, 2, 4, 8, 16]);
-        let rate = 0.8 * 4.0 / profile.mean_base_s(&mix);
-        let duration_s = 2_000_000.0 / rate;
-        let mut cfg = ScenarioCfg::new(
-            4,
-            mix,
-            ArrivalProcess::poisson(rate),
-            SchedulerKind::Dynamic { max_batch: 16 },
-            SloSpec::ServiceMultiple(4.0),
-            duration_s,
-            42,
-        );
-        cfg.full_records = false;
-        let t0 = Instant::now();
-        let result = simulate(&cfg, &profile, &ctx.registry);
-        let wall_s = t0.elapsed().as_secs_f64();
-        Value::Object(vec![
-            ("wall_s".to_string(), Value::from(wall_s)),
-            ("simulated_requests".to_string(), Value::from(result.arrivals)),
-            (
-                "requests_per_sec".to_string(),
-                Value::from(result.arrivals as f64 / wall_s.max(1e-9)),
-            ),
-        ])
-    };
-    // Fleet fast-path figure: the multi-cluster DES on a 128-GPU
-    // heterogeneous fleet (8 clusters cycling the four SKUs), Poisson
-    // arrivals at ~0.8 offered utilization, FIFO + round-robin so every
-    // cluster takes the O(1)-per-request fast lane. Sized to >100M
-    // aggregate arrivals — the committed throughput headline.
-    let fleet = {
-        let t0 = Instant::now();
-        let result = run_fleet(
-            &FleetRunCfg {
-                clusters: 8,
-                gpus_per_cluster: 16,
-                requests: Some(100_000_000),
-                ..FleetRunCfg::default()
-            },
-            &ctx.registry,
-            &memo,
-            1,
-        )?;
-        let wall_s = t0.elapsed().as_secs_f64();
-        Value::Object(vec![
-            ("wall_s".to_string(), Value::from(wall_s)),
-            ("simulated_requests".to_string(), Value::from(result.result.arrivals())),
-            (
-                "requests_per_sec".to_string(),
-                Value::from(result.result.arrivals() as f64 / wall_s.max(1e-9)),
-            ),
-        ])
-    };
-    // Token fast-path figure: one run of the token-level (iteration
-    // granularity) serving DES — continuous batching on 4 GPUs at ~0.8
-    // utilization, sized to >2M decoded tokens — so the snapshot tracks
-    // simulated-tokens-per-second alongside the request-level figures.
-    let token = {
-        use mmg_serve::{
-            simulate_token, ArrivalProcess, KvAdmission, KvLedger, LengthDist, PhasePriority,
-            TokenBatching, TokenScenarioCfg, TokenServiceCurve, TokenSlo,
-        };
-        let profiler = ctx.profiler(AttnImpl::Flash);
-        let curve = TokenServiceCurve::from_profiler(&profiler, ModelId::Llama2);
-        let gpus = 4usize;
-        let cap = 32usize;
-        let prompt = LengthDist::new(512.0, 0.3, 16, 4096);
-        let output = LengthDist::new(128.0, 0.3, 4, 1024);
-        let slo = TokenSlo::from_curve(&curve, prompt.mean(), output.mean(), cap);
-        let rate = 0.8 * gpus as f64 / curve.request_gpu_s(prompt.mean(), output.mean(), cap);
-        let duration_s = 2_000_000.0 / (rate * output.mean());
-        let cfg = TokenScenarioCfg {
-            gpus,
-            model: ModelId::Llama2,
-            arrival: ArrivalProcess::poisson(rate),
-            batching: TokenBatching::Continuous { max_batch: cap },
-            priority: PhasePriority::Decode,
-            admission: KvAdmission::Prompt,
-            chunk_tokens: 512,
-            prompt,
-            output,
-            slo,
-            duration_s,
-            max_requests: None,
-            seed: 42,
-        };
-        let budget = KvLedger::default_budget(spec, curve.weight_bytes);
-        let t0 = Instant::now();
-        let result = simulate_token(&cfg, &curve, budget, &ctx.registry);
-        let wall_s = t0.elapsed().as_secs_f64();
-        Value::Object(vec![
-            ("wall_s".to_string(), Value::from(wall_s)),
-            ("simulated_tokens".to_string(), Value::from(result.stats.decoded_tokens)),
-            (
-                "tokens_per_sec".to_string(),
-                Value::from(result.stats.decoded_tokens as f64 / wall_s.max(1e-9)),
-            ),
-        ])
-    };
-    // Optimization-pass figure: the all-passes geomean speedup across
-    // model families, plus the wall time of re-running the experiment
-    // against the now-warm memo. `speedup_all_passes` is gated by
-    // bench-check the way the throughput figures are: a drop means a
-    // pass stopped firing.
-    let optimize_fig = {
-        let t0 = Instant::now();
-        let r = mmg_core::experiments::optimize::run_ctx(&ctx);
-        let wall_s = t0.elapsed().as_secs_f64();
-        Value::Object(vec![
-            ("wall_s".to_string(), Value::from(wall_s)),
-            ("speedup_all_passes".to_string(), Value::from(r.speedup_all_passes)),
-        ])
-    };
-    // Energy figure: the best on-time-requests-per-Wh cell of the
-    // power-capped batching frontier, re-run against the warm memo.
-    // Gated by bench-check like the throughput figures: a drop means
-    // the power model or the energy-optimal batch size shifted, not
-    // runner jitter.
-    let energy_fig = {
-        let t0 = Instant::now();
-        let r = mmg_core::experiments::energy::run_ctx(&ctx);
-        let wall_s = t0.elapsed().as_secs_f64();
-        Value::Object(vec![
-            ("wall_s".to_string(), Value::from(wall_s)),
-            ("best_good_per_wh".to_string(), Value::from(r.best_good_per_wh)),
-        ])
-    };
-    let snapshot = Value::Object(vec![
-        ("date".to_string(), Value::from(today_stamp())),
-        ("device".to_string(), Value::from(spec.name.clone())),
-        ("experiments".to_string(), Value::Object(entries)),
-        ("serve".to_string(), serve),
-        ("fleet".to_string(), fleet),
-        ("token".to_string(), token),
-        ("optimize".to_string(), optimize_fig),
-        ("energy".to_string(), energy_fig),
-        ("total_s".to_string(), Value::from(started.elapsed().as_secs_f64())),
-        (
-            "memo".to_string(),
-            Value::Object(vec![
-                ("hits".to_string(), Value::from(memo.hits())),
-                ("misses".to_string(), Value::from(memo.misses())),
-                ("entries".to_string(), Value::from(memo.len() as u64)),
-            ]),
-        ),
-    ]);
-    let path = path.unwrap_or_else(|| format!("BENCH_{}.json", today_stamp()));
-    let body = serde_json::to_string_pretty(&snapshot).expect("snapshots always serialize");
-    write_file(&path, &body, "bench snapshot")?;
-    Ok(path)
-}
-
 /// One row of a flag table: the flag and the metavar its usage line
 /// shows after it; [`SWITCH`] marks a bare switch, which takes no value.
 /// A table also generates its subcommand's unknown-flag message and
@@ -352,7 +147,6 @@ const MAIN_FLAGS: &[Flag] = &[
     ("--manifest", "<path>"),
     ("--replications", "<n> [--sweep-seed <n>]"),
     ("--sweep-seed", "<n>"),
-    ("--out", "<path>"),
     ("--list", SWITCH),
 ];
 const MAIN_USAGE_ROWS: usize = 7;
@@ -431,23 +225,19 @@ const TOKEN_FLAGS: &[Flag] = &[
     ("--jobs", "<n>"),
 ];
 
-const BENCH_CHECK_FLAGS: &[Flag] = &[("--threshold", "<frac>"), ("--min-wall-s", "<s>")];
-
-/// A subcommand: its name, the positional arguments its usage line
-/// shows (empty when it takes none), its flag table and its entry point.
-type Subcommand = (&'static str, &'static str, &'static [Flag], Entry);
+/// A subcommand: its name, its flag table and its entry point.
+type Subcommand = (&'static str, &'static [Flag], Entry);
 
 /// A subcommand's entry point, given its read flags.
 type Entry = fn(&Args<'_>) -> Result<ExitCode, String>;
 
 /// The subcommands, in usage order. Any other first argument is read
 /// against [`MAIN_FLAGS`] by the experiment runner.
-const SUBCOMMANDS: [Subcommand; 5] = [
-    ("optimize", "", OPTIMIZE_FLAGS, optimize_main),
-    ("serve", "", SERVE_FLAGS, serve_main),
-    ("fleet", "", FLEET_FLAGS, fleet_main),
-    ("token", "", TOKEN_FLAGS, token_main),
-    ("bench-check", "<old.json> <new.json> ", BENCH_CHECK_FLAGS, bench_check_main),
+const SUBCOMMANDS: [Subcommand; 4] = [
+    ("optimize", OPTIMIZE_FLAGS, optimize_main),
+    ("serve", SERVE_FLAGS, serve_main),
+    ("fleet", FLEET_FLAGS, fleet_main),
+    ("token", TOKEN_FLAGS, token_main),
 ];
 
 /// `[--flag <metavar>] [--switch] …` for one flag table.
@@ -467,16 +257,13 @@ fn usage_flags(table: &[Flag]) -> String {
 
 /// The usage line of one of the [`SUBCOMMANDS`].
 fn usage_line(name: &str) -> String {
-    let (_, positional, table, _) =
-        SUBCOMMANDS.iter().find(|s| s.0 == name).expect("a listed subcommand");
-    format!("repro {name} {positional}{}", usage_flags(table))
+    let (_, table, _) = SUBCOMMANDS.iter().find(|s| s.0 == name).expect("a listed subcommand");
+    format!("repro {name} {}", usage_flags(table))
 }
 
 /// The usage text `repro` prints when it is given no target.
 fn usage() -> String {
-    let targets: Vec<String> = ["bench-snapshot", "all"]
-        .iter()
-        .map(ToString::to_string)
+    let targets: Vec<String> = std::iter::once("all".to_string())
         .chain(ExperimentId::ALL.iter().map(ToString::to_string))
         .collect();
     let mut text = format!(
@@ -538,10 +325,6 @@ impl<'a> Args<'a> {
 
     fn switch(&self, flag: &str) -> bool {
         self.get(flag).is_some()
-    }
-
-    fn string(&self, flag: &str) -> Option<String> {
-        self.get(flag).map(str::to_string)
     }
 
     /// `flag`'s value as a `T` that passes `ok`; any other value is the
@@ -808,6 +591,17 @@ fn token_main(args: &Args<'_>) -> Result<ExitCode, String> {
         Some(g) => (g * GIB) as u64,
         None => KvLedger::default_budget(&spec, curve.weight_bytes),
     };
+    // A budget below the shortest possible sequence would drop every
+    // arrival as oversized.
+    let min_seq_tokens = (PROMPT_TOKENS.0 + OUTPUT_TOKENS.0) as u64;
+    let min_seq_bytes = min_seq_tokens * curve.kv_bytes_per_token;
+    if kv_budget_bytes < min_seq_bytes {
+        return Err(format!(
+            "KV budget of {kv_budget_bytes} bytes/GPU cannot hold one shortest sequence \
+             ({min_seq_tokens} tokens, {:.1} MiB); raise --kv-budget",
+            min_seq_bytes as f64 / (1024.0 * 1024.0)
+        ));
+    }
     let prompt = LengthDist::new(prompt_len, 0.3, PROMPT_TOKENS.0, PROMPT_TOKENS.1);
     let output = LengthDist::new(output_len, 0.3, OUTPUT_TOKENS.0, OUTPUT_TOKENS.1);
     let cap = batching.cap();
@@ -863,6 +657,14 @@ fn token_main(args: &Args<'_>) -> Result<ExitCode, String> {
         if kv_budget_gib.is_some() { "explicit" } else { "HBM - weights" },
     );
     println!("{}", TokenReport::from_result(&result).render());
+    if result.stats.dropped_oversized > 0 {
+        eprintln!(
+            "warning: {} of {} arrivals dropped: one sequence exceeds the {:.3} GiB/GPU KV budget",
+            result.stats.dropped_oversized,
+            result.stats.arrivals,
+            kv_budget_bytes as f64 / GIB,
+        );
+    }
     // Perf to stderr: stdout must stay byte-identical across machines.
     eprintln!(
         "token: {} decoded tokens over {} iterations in {sim_wall_s:.3}s wall ({:.0} simulated tok/s)",
@@ -885,73 +687,15 @@ fn token_main(args: &Args<'_>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Parameters for one multi-cluster fleet run — shared by the `fleet`
-/// subcommand and the bench-snapshot fleet figure.
-struct FleetRunCfg {
-    /// Cluster count; SKUs cycle a100 → h100 → l4 → h200.
-    clusters: usize,
-    /// Initially provisioned GPUs per cluster.
-    gpus_per_cluster: usize,
-    /// Arrival family (`poisson` | `diurnal`; bursty is not splittable).
-    arrival_name: String,
-    /// Offered fraction of the fleet's aggregate batch-1 capacity.
-    utilization: f64,
-    /// Explicit fleet-wide rate, requests/s (overrides `utilization`).
-    rate: Option<f64>,
-    /// Autoscaler policy name (`fixed` | `reactive` | `reactive+spot`).
-    policy_name: String,
-    /// Expected-arrival target; sizes the horizon as `requests / rate`
-    /// (with 0.5% headroom so the realized Poisson count reaches it).
-    requests: Option<u64>,
-    /// Explicit horizon, seconds (used when `requests` is unset).
-    duration_s: f64,
-    /// Evaluation windows over the horizon.
-    windows: usize,
-    /// Per-GPU scheduler (fifo takes the O(1) fast lane).
-    scheduler_name: String,
-    /// Batch cap for batching schedulers.
-    batch: usize,
-    /// Fleet seed.
-    seed: u64,
-}
-
-impl Default for FleetRunCfg {
-    fn default() -> Self {
-        FleetRunCfg {
-            clusters: 4,
-            gpus_per_cluster: 16,
-            arrival_name: "poisson".to_string(),
-            utilization: 0.8,
-            rate: None,
-            policy_name: "fixed".to_string(),
-            requests: None,
-            duration_s: 600.0,
-            windows: 12,
-            scheduler_name: "fifo".to_string(),
-            batch: 16,
-            seed: 42,
-        }
-    }
-}
-
-/// A completed fleet run: the resolved scenario and its merged result.
-struct FleetRun {
-    cfg: mmg_serve::FleetCfg,
-    result: mmg_serve::FleetResult,
-}
-
-/// Builds the heterogeneous fleet (SKUs cycling, capacity-proportional
-/// region weights, quarter-period diurnal phase stagger), profiles each
-/// SKU once, and shards the simulation by cluster over the
-/// [`mmg_core::run_cells_with`] worker pool. Results and telemetry
-/// merge in cluster order, so stdout and the metrics snapshot are
-/// byte-identical for every `jobs` value.
-fn run_fleet(
-    rc: &FleetRunCfg,
-    registry: &mmg_telemetry::Registry,
-    memo: &std::sync::Arc<mmg_profiler::CostMemo>,
-    jobs: usize,
-) -> Result<FleetRun, String> {
+/// Runs one multi-cluster fleet scenario and prints the fleet report.
+/// Builds the heterogeneous fleet (SKUs cycling a100 → h100 → l4 → h200,
+/// capacity-proportional region weights, quarter-period diurnal phase
+/// stagger), profiles each SKU once, and shards the simulation by
+/// cluster over the [`mmg_core::run_cells_with`] worker pool. Results
+/// and telemetry merge in cluster order, so stdout and the metrics
+/// snapshot are byte-identical for every `--jobs` value; the perf line
+/// goes to stderr.
+fn fleet_main(args: &Args<'_>) -> Result<ExitCode, String> {
     use mmg_core::experiments::fleet_sweep::{device_for_sku, sku_price_per_gpu_hr, SKUS};
     use mmg_core::experiments::serve_common::profile_mix;
     use mmg_serve::{
@@ -959,26 +703,47 @@ fn run_fleet(
         SchedulerKind, SloSpec,
     };
 
-    let scheduler = SchedulerKind::parse(&rc.scheduler_name, rc.batch)?;
+    let n_clusters = args.count("--clusters")?.unwrap_or(4);
+    let gpus_per_cluster = args.count("--gpus")?.unwrap_or(16);
+    let arrival_name = args.get("--arrival").unwrap_or("poisson");
+    // Offered fraction of the fleet's aggregate batch-1 capacity, unless
+    // `--rate` sets the fleet-wide rate outright.
+    let utilization = args.positive("--util", "a positive fraction")?.unwrap_or(0.8);
+    let explicit_rate = args.positive("--rate", "a positive number")?;
+    let policy_name = args.get("--policy").unwrap_or("fixed");
+    // An expected-arrival target; sizes the horizon as `requests / rate`
+    // (with 0.5% headroom so the realized Poisson count reaches it).
+    let requests = args.count::<u64>("--requests")?;
+    let duration_s = args.positive("--duration-s", "a positive number")?.unwrap_or(600.0);
+    let windows = args.count("--windows")?.unwrap_or(12);
+    let scheduler_name = args.get("--scheduler").unwrap_or("fifo");
+    let batch = args.count("--batch")?.unwrap_or(16);
+    let seed = args.seed("--seed")?.unwrap_or(42);
+    let jobs = args.count("--jobs")?.unwrap_or(1);
+
+    let registry = mmg_telemetry::Registry::new();
+    let memo = global_memo();
+    let sim_started = Instant::now();
+    let scheduler = SchedulerKind::parse(scheduler_name, batch)?;
     let cap = scheduler.cap();
     let policy = mmg_core::experiments::fleet_sweep::policies()
         .into_iter()
-        .find(|p| p.name() == rc.policy_name)
+        .find(|p| p.name() == policy_name)
         .ok_or_else(|| {
-            format!("unknown policy '{}'; expected fixed | reactive | reactive+spot", rc.policy_name)
+            format!("unknown policy '{policy_name}'; expected fixed | reactive | reactive+spot")
         })?;
 
     // Profile each deployed SKU once, in cycle order, before any cell
     // runs — merge order into `registry` is then independent of `jobs`.
     let mix_str = "sd:8,parti:2";
-    let n_skus = rc.clusters.min(SKUS.len());
+    let n_skus = n_clusters.min(SKUS.len());
     let profiled: Vec<_> = SKUS[..n_skus]
         .iter()
         .map(|sku| {
             profile_mix(
                 &device_for_sku(sku),
-                memo,
-                registry,
+                &memo,
+                &registry,
                 mix_str,
                 cap,
                 matches!(scheduler, SchedulerKind::Pods { .. }),
@@ -988,36 +753,33 @@ fn run_fleet(
 
     // Capacity-proportional weights: every cluster is offered the same
     // relative load despite the SKU service-time spread.
-    let mut clusters = Vec::with_capacity(rc.clusters);
+    let mut clusters = Vec::with_capacity(n_clusters);
     let mut total_capacity = 0.0;
-    for i in 0..rc.clusters {
+    for i in 0..n_clusters {
         let sku_idx = i % n_skus;
         let sku = SKUS[sku_idx];
-        let capacity = rc.gpus_per_cluster as f64 / profiled[sku_idx].mean_base_s;
+        let capacity = gpus_per_cluster as f64 / profiled[sku_idx].mean_base_s;
         total_capacity += capacity;
         clusters.push(ClusterCfg {
             name: format!("{sku}-{i}"),
             sku: sku.to_string(),
-            gpus: rc.gpus_per_cluster,
+            gpus: gpus_per_cluster,
             price_per_gpu_hr: sku_price_per_gpu_hr(sku),
             weight: capacity,
             phase_s: 0.0, // set below once the arrival period is known
         });
     }
-    let rate = match rc.rate {
-        Some(r) => r,
-        None => rc.utilization * total_capacity,
-    };
-    let arrival = ArrivalProcess::parse(&rc.arrival_name, rate)?;
+    let rate = explicit_rate.unwrap_or(utilization * total_capacity);
+    let arrival = ArrivalProcess::parse(arrival_name, rate)?;
     if let ArrivalProcess::Diurnal { period_s, .. } = arrival {
         // Stagger regional peaks evenly across one diurnal period.
         for (i, c) in clusters.iter_mut().enumerate() {
-            c.phase_s = period_s * i as f64 / rc.clusters as f64;
+            c.phase_s = period_s * i as f64 / n_clusters as f64;
         }
     }
-    let duration_s = match rc.requests {
+    let duration_s = match requests {
         Some(n) => n as f64 / rate * 1.005,
-        None => rc.duration_s,
+        None => duration_s,
     };
 
     let cfg = FleetCfg {
@@ -1027,10 +789,10 @@ fn run_fleet(
         scheduler,
         router: RouterKind::RoundRobin,
         slo: SloSpec::ServiceMultiple(4.0),
-        window_s: duration_s / rc.windows as f64,
-        windows: rc.windows,
+        window_s: duration_s / windows as f64,
+        windows,
         autoscaler: policy,
-        seed: rc.seed,
+        seed,
     };
     cfg.validate()?;
 
@@ -1039,48 +801,21 @@ fn run_fleet(
         cfg.clusters.len(),
         &spec,
         jobs,
-        memo,
-        registry,
+        &memo,
+        &registry,
         |i, cell_ctx| run_cluster(&cfg, i, &profiled[i % n_skus].profile, &cell_ctx.registry),
     );
-    Ok(FleetRun { result: FleetResult::from_clusters(results), cfg })
-}
-
-/// Runs one multi-cluster fleet scenario, sharded by cluster across the
-/// worker pool, and prints the fleet report. Stdout is byte-identical
-/// for every `--jobs` value; the perf line goes to stderr.
-fn fleet_main(args: &Args<'_>) -> Result<ExitCode, String> {
-    let d = FleetRunCfg::default();
-    let rc = FleetRunCfg {
-        clusters: args.count("--clusters")?.unwrap_or(d.clusters),
-        gpus_per_cluster: args.count("--gpus")?.unwrap_or(d.gpus_per_cluster),
-        arrival_name: args.string("--arrival").unwrap_or(d.arrival_name),
-        utilization: args.positive("--util", "a positive fraction")?.unwrap_or(d.utilization),
-        rate: args.positive("--rate", "a positive number")?,
-        policy_name: args.string("--policy").unwrap_or(d.policy_name),
-        requests: args.count("--requests")?,
-        duration_s: args.positive("--duration-s", "a positive number")?.unwrap_or(d.duration_s),
-        windows: args.count("--windows")?.unwrap_or(d.windows),
-        scheduler_name: args.string("--scheduler").unwrap_or(d.scheduler_name),
-        batch: args.count("--batch")?.unwrap_or(d.batch),
-        seed: args.seed("--seed")?.unwrap_or(d.seed),
-    };
-    let jobs = args.count("--jobs")?.unwrap_or(1);
-
-    let registry = mmg_telemetry::Registry::new();
-    let memo = global_memo();
-    let sim_started = Instant::now();
-    let run = run_fleet(&rc, &registry, &memo, jobs)?;
+    let result = FleetResult::from_clusters(results);
     let sim_wall_s = sim_started.elapsed().as_secs_f64();
 
-    print!("{}", mmg_serve::FleetReport::new(&run.cfg, &run.result).render());
+    print!("{}", mmg_serve::FleetReport::new(&cfg, &result).render());
     // Perf to stderr: stdout must stay byte-identical across machines
     // and job counts.
     eprintln!(
         "fleet: {} arrivals across {} clusters simulated in {sim_wall_s:.3}s wall ({:.0} aggregate simulated req/s)",
-        run.result.arrivals(),
-        run.cfg.clusters.len(),
-        run.result.arrivals() as f64 / sim_wall_s.max(1e-9),
+        result.arrivals(),
+        cfg.clusters.len(),
+        result.arrivals() as f64 / sim_wall_s.max(1e-9),
     );
     if let Some(path) = args.get("--metrics-out") {
         write_metrics(path, &registry)?;
@@ -1088,29 +823,8 @@ fn fleet_main(args: &Args<'_>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `repro bench-check <old> <new>` — compare two `bench-snapshot`
-/// outputs and exit nonzero when any figure regressed.
-fn bench_check_main(args: &Args<'_>) -> Result<ExitCode, String> {
-    use mmg_core::benchcheck;
-
-    let non_negative = |flag| args.parsed(flag, "a non-negative number", |v: &f64| *v >= 0.0);
-    let threshold = non_negative("--threshold")?.unwrap_or(benchcheck::DEFAULT_THRESHOLD);
-    let min_wall_s = non_negative("--min-wall-s")?.unwrap_or(benchcheck::DEFAULT_MIN_WALL_S);
-    let [old_path, new_path] = args.positional[..] else {
-        return Err(format!("usage: {}", usage_line("bench-check")));
-    };
-    let read = |path: &str| -> Result<serde_json::Value, String> {
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| format!("failed to read snapshot {path}: {e}"))?;
-        serde_json::from_str(&body).map_err(|e| format!("snapshot {path} is not valid JSON: {e}"))
-    };
-    let check = benchcheck::compare(&read(old_path)?, &read(new_path)?, threshold, min_wall_s);
-    print!("{}", benchcheck::render(&check));
-    Ok(if check.regressed() { ExitCode::FAILURE } else { ExitCode::SUCCESS })
-}
-
 /// The experiment runner: `repro [flags] <target>…`, where a target is
-/// an experiment id, `all` or `bench-snapshot`.
+/// an experiment id or `all`.
 fn experiments_main(args: &Args<'_>) -> Result<ExitCode, String> {
     if args.switch("--list") {
         for e in ExperimentId::ALL {
@@ -1124,20 +838,13 @@ fn experiments_main(args: &Args<'_>) -> Result<ExitCode, String> {
     });
     let replications = args.count::<u64>("--replications")?;
     let sweep_seed = args.seed("--sweep-seed")?.unwrap_or(42);
-    let manifest_path = args.string("--manifest");
-    let mut bench = false;
+    let manifest_path = args.get("--manifest").map(str::to_string);
     let mut targets: Vec<ExperimentId> = Vec::new();
     for &target in &args.positional {
         match target {
-            "bench-snapshot" => bench = true,
             "all" => targets.extend(ExperimentId::ALL),
             id => targets.push(ExperimentId::from_str(id).map_err(|e| e.to_string())?),
         }
-    }
-    if bench {
-        let path = bench_snapshot(&spec, args.string("--out"))?;
-        eprintln!("bench snapshot written to {path}");
-        return Ok(ExitCode::SUCCESS);
     }
     // Repeated targets (e.g. `repro fig6 all`) run once, first-mention order.
     let mut seen = std::collections::HashSet::new();
@@ -1202,8 +909,8 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
         let sub = SUBCOMMANDS.iter().find(|s| s.0 == cmd).filter(|s| {
             s.0 != "optimize" || rest.iter().any(|a| PASS_FLAGS.contains(&a.as_str()))
         });
-        if let Some(&(name, positional, table, entry)) = sub {
-            return entry(&Args::read(name, table, rest, !positional.is_empty())?);
+        if let Some(&(name, table, entry)) = sub {
+            return entry(&Args::read(name, table, rest, false)?);
         }
     }
     experiments_main(&Args::read("repro", MAIN_FLAGS, argv, true)?)
@@ -1285,10 +992,6 @@ mod tests {
         assert_eq!(
             err,
             "unknown serve flag '--bogus'; expected --device | --gpus | --mix | --arrival | --rate | --scheduler | --batch | --router | --slo-ms | --duration-s | --requests | --seed | --metrics | --metrics-out | --trace-out | --jobs | --full-records | --attrib"
-        );
-        assert_eq!(
-            usage_line("bench-check"),
-            "repro bench-check <old.json> <new.json> [--threshold <frac>] [--min-wall-s <s>]"
         );
     }
 

@@ -92,7 +92,7 @@ pub struct OptResult {
     /// HBM round-trip traffic the fusion pass removed, GiB.
     pub hbm_gib_saved: f64,
     /// Geometric-mean all-passes speedup across families — the
-    /// bench-snapshot headline this experiment is gated on.
+    /// headline figure, pinned in `tests/experiments_reproduce.rs`.
     pub speedup_all_passes: f64,
 }
 

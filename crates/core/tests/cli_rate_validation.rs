@@ -6,7 +6,11 @@
 //! length medians must lie in the interval their samples are clamped
 //! to, instead of being clamped silently, and `--mix` weights must be
 //! finite, and `--kv-budget` must count bytes that fit in `u64`
-//! instead of saturating. No bad input may end in a panic.
+//! instead of saturating. A finite rate so large that the horizon
+//! expects more arrivals than any run could work through must be
+//! refused unless `--requests` caps it, and a KV budget below one
+//! shortest sequence must be refused instead of dropping every request.
+//! No bad input may end in a panic.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -114,4 +118,42 @@ fn kv_budgets_past_u64_bytes_are_rejected_fast() {
     }
     let (ok, stderr) = repro_bounded(&["token", "--kv-budget", "17179869183", "--duration-s", "1"]);
     assert!(ok, "the largest whole GiB count that fits must run: {stderr}");
+}
+
+#[test]
+fn huge_finite_rates_are_rejected_fast() {
+    for args in [
+        &["token", "--util", "1e300", "--duration-s", "5"][..],
+        &["serve", "--rate", "1e300", "--duration-s", "5"],
+        &["serve", "--rate", "1e12", "--duration-s", "5"],
+        &["fleet", "--util", "1e300", "--duration-s", "5"],
+    ] {
+        let (ok, stderr) = repro_bounded(args);
+        assert!(!ok, "`repro {}` must fail", args.join(" "));
+        assert!(
+            stderr.contains("above the limit of 1e9") && stderr.contains("--requests"),
+            "`repro {}` stderr: {stderr}",
+            args.join(" ")
+        );
+    }
+    // A request cap bounds the run, so the same rate is allowed with one.
+    let (ok, stderr) = repro_bounded(&["token", "--util", "1e300", "--requests", "1000"]);
+    assert!(ok, "a capped run must still run: {stderr}");
+}
+
+#[test]
+fn kv_budgets_below_one_sequence_are_rejected_fast() {
+    for value in ["1e-12", "0.008"] {
+        let (ok, stderr) = repro_bounded(&["token", "--kv-budget", value, "--duration-s", "5"]);
+        assert!(!ok, "`repro token --kv-budget {value}` must fail");
+        assert!(
+            stderr.contains("cannot hold one shortest sequence (17 tokens, 8.5 MiB)"),
+            "`repro token --kv-budget {value}` stderr: {stderr}"
+        );
+    }
+    // One that holds a shortest sequence runs, and says how many arrivals
+    // it had to drop because a longer sequence did not fit.
+    let (ok, stderr) = repro_bounded(&["token", "--kv-budget", "0.01", "--duration-s", "5"]);
+    assert!(ok, "a budget above one shortest sequence must run: {stderr}");
+    assert!(stderr.contains("arrivals dropped"), "drop warning missing: {stderr}");
 }

@@ -299,18 +299,13 @@ impl ScenarioCfg {
     }
 
     /// Checks the scenario, returning a description of the first
-    /// problem found: no GPUs, or a horizon that is not positive, or
-    /// infinite without a request cap.
+    /// problem found: no GPUs, or a horizon that fails
+    /// [`ArrivalProcess::check_horizon`].
     pub fn validate(&self) -> Result<(), String> {
         if self.gpus == 0 {
             return Err("need at least one GPU".into());
         }
-        // An infinite horizon is fine when a request cap ends the arrivals.
-        let bounded = self.duration_s.is_finite() || self.max_requests.is_some();
-        if !(self.duration_s > 0.0 && bounded) {
-            return Err("duration must be positive, and finite without a request cap".into());
-        }
-        Ok(())
+        self.arrival.check_horizon(self.duration_s, self.max_requests)
     }
 }
 
@@ -2020,6 +2015,14 @@ mod tests {
         let mut capped = scenario(SchedulerKind::Fifo, 1.0, f64::INFINITY);
         capped.max_requests = Some(10);
         assert_eq!(capped.validate(), Ok(()));
+        // A finite rate no run could work through is refused, not simulated.
+        for rate in [1e12, 1e300] {
+            let err = scenario(SchedulerKind::Fifo, rate, 5.0).validate().unwrap_err();
+            assert!(err.contains("above the limit of 1e9") && err.contains("--requests"), "{err}");
+            let mut capped = scenario(SchedulerKind::Fifo, rate, 5.0);
+            capped.max_requests = Some(1000);
+            assert_eq!(capped.validate(), Ok(()));
+        }
     }
 
     /// The conservation invariant, bitwise: for every completed request

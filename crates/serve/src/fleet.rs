@@ -219,7 +219,8 @@ impl FleetCfg {
     }
 
     /// Checks the configuration, returning a description of the first
-    /// problem found.
+    /// problem found; the horizon goes through
+    /// [`ArrivalProcess::check_horizon`] with no request cap.
     pub fn validate(&self) -> Result<(), String> {
         if self.clusters.is_empty() {
             return Err("fleet needs at least one cluster".into());
@@ -252,7 +253,7 @@ impl FleetCfg {
         {
             return Err("fleet needs a positive window and at least one window".into());
         }
-        Ok(())
+        self.arrival.check_horizon(self.horizon_s(), None)
     }
 }
 
@@ -1465,6 +1466,17 @@ mod tests {
             c.latency.quantile(0.99).unwrap_or(0.0),
         );
         assert_eq!(text.lines().nth(5), Some(usual.as_str()));
+    }
+
+    #[test]
+    fn validate_rejects_huge_expected_arrivals() {
+        assert_eq!(test_fleet(2).validate(), Ok(()));
+        for rate in [1e12, 1e300] {
+            let mut fleet = test_fleet(2);
+            fleet.arrival = ArrivalProcess::poisson(rate);
+            let err = fleet.validate().unwrap_err();
+            assert!(err.contains("above the limit of 1e9"), "{err}");
+        }
     }
 
     #[test]

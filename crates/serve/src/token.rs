@@ -187,8 +187,8 @@ pub struct TokenScenarioCfg {
 impl TokenScenarioCfg {
     /// Checks the scenario, returning a description of the first
     /// problem found: zero GPUs, a zero batch cap, a zero prefill chunk,
-    /// a horizon that is not positive (or is infinite without a request
-    /// cap), or a non-AR model.
+    /// a horizon that fails [`ArrivalProcess::check_horizon`], or a
+    /// non-AR model.
     pub fn validate(&self) -> Result<(), String> {
         if self.gpus == 0 {
             return Err("need at least one GPU".into());
@@ -199,11 +199,7 @@ impl TokenScenarioCfg {
         if self.chunk_tokens == 0 {
             return Err("prefill chunk must be positive".into());
         }
-        // An infinite horizon is fine when a request cap ends the arrivals.
-        let bounded = self.duration_s.is_finite() || self.max_requests.is_some();
-        if !(self.duration_s > 0.0 && bounded) {
-            return Err("duration must be positive, and finite without a request cap".into());
-        }
+        self.arrival.check_horizon(self.duration_s, self.max_requests)?;
         if !TokenServiceCurve::supports(self.model) {
             return Err(format!(
                 "{} is not autoregressive; token serving needs llama | parti | muse",
@@ -1107,13 +1103,14 @@ mod tests {
         let base = || base_cfg(TokenBatching::Continuous { max_batch: 16 }, 1);
         assert_eq!(base().validate(), Ok(()));
         type Spoil = fn(&mut TokenScenarioCfg);
-        let cases: [(Spoil, &str); 7] = [
+        let cases: [(Spoil, &str); 8] = [
             (|c| c.gpus = 0, "need at least one GPU"),
             (|c| c.batching = TokenBatching::Static { batch: 0 }, "batch cap must be positive"),
             (|c| c.chunk_tokens = 0, "prefill chunk must be positive"),
             (|c| c.duration_s = 0.0, "duration must be positive"),
             (|c| c.duration_s = f64::NAN, "duration must be positive"),
             (|c| c.duration_s = f64::INFINITY, "finite without a request cap"),
+            (|c| c.arrival = ArrivalProcess::poisson(1e300), "cap arrivals with --requests"),
             (|c| c.model = ModelId::StableDiffusion, "is not autoregressive"),
         ];
         for (spoil, message) in cases {
@@ -1122,6 +1119,13 @@ mod tests {
             let err = cfg.validate().unwrap_err();
             assert!(err.contains(message), "{err}");
         }
+        // A request cap bounds the run whatever the rate.
+        let capped = TokenScenarioCfg {
+            arrival: ArrivalProcess::poisson(1e300),
+            max_requests: Some(1000),
+            ..base()
+        };
+        assert_eq!(capped.validate(), Ok(()));
     }
 
     #[test]

@@ -131,7 +131,35 @@ impl ArrivalProcess {
             }
         }
     }
+
+    /// Checks a run's arrival horizon, the one check every engine's
+    /// config validation shares: `duration_s` must be positive, and
+    /// finite unless `max_requests` ends the arrivals. Without a request
+    /// cap the expected arrival count, mean rate × horizon, must not
+    /// exceed [`MAX_EXPECTED_ARRIVALS`], so a finite but huge rate is an
+    /// error instead of a run that never ends.
+    pub fn check_horizon(&self, duration_s: f64, max_requests: Option<u64>) -> Result<(), String> {
+        let bounded = duration_s.is_finite() || max_requests.is_some();
+        if !(duration_s > 0.0 && bounded) {
+            return Err("duration must be positive, and finite without a request cap".into());
+        }
+        let expected = self.mean_rate_rps() * duration_s;
+        if max_requests.is_none() && (expected.is_nan() || expected > MAX_EXPECTED_ARRIVALS) {
+            return Err(format!(
+                "rate × duration expects {expected:.3e} arrivals, above the limit of \
+                 {MAX_EXPECTED_ARRIVALS:.0e}; lower the rate or the duration, or cap \
+                 arrivals with --requests"
+            ));
+        }
+        Ok(())
+    }
 }
+
+/// The most arrivals a run without a request cap may expect (mean rate
+/// × horizon). Far above every experiment and benchmark pass (the
+/// largest draws ~8M), yet low enough that a rate no simulation could
+/// work through fails validation at once.
+pub const MAX_EXPECTED_ARRIVALS: f64 = 1e9;
 
 /// Stateful arrival-time sampler for one [`ArrivalProcess`].
 #[derive(Debug)]
@@ -493,6 +521,20 @@ impl RequestMix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn horizon_check_bounds_the_expected_arrivals() {
+        let poisson = ArrivalProcess::poisson(1e3);
+        // 1e3/s over 1e6 s is exactly the limit: allowed.
+        assert_eq!(poisson.check_horizon(1e6, None), Ok(()));
+        let err = poisson.check_horizon(2e6, None).unwrap_err();
+        assert!(err.starts_with("rate × duration expects 2.000e9 arrivals"), "{err}");
+        assert_eq!(poisson.check_horizon(2e6, Some(10)), Ok(()));
+        let nan = ArrivalProcess::poisson(f64::NAN);
+        assert!(nan.check_horizon(1.0, None).is_err());
+        let err = poisson.check_horizon(f64::INFINITY, None).unwrap_err();
+        assert_eq!(err, "duration must be positive, and finite without a request cap");
+    }
 
     fn mean_rate(process: ArrivalProcess, horizon_s: f64, seed: u64) -> f64 {
         let mut g = ArrivalGen::new(process, seed);

@@ -2,7 +2,8 @@
 //! paper's bands. This is the executable version of EXPERIMENTS.md.
 
 use mmgen::core::experiments::{
-    fig1, fig11, fig12, fig13, fig4, fig5, fig6, fig7, fig8, fig9, secv, table1, table2, table3,
+    energy, fig1, fig11, fig12, fig13, fig4, fig5, fig6, fig7, fig8, fig9, optimize, secv, table1,
+    table2, table3,
 };
 use mmgen::core::{run_experiment, ExperimentId};
 use mmgen::gpu::DeviceSpec;
@@ -127,6 +128,24 @@ fn secv_analytic_model() {
     let r = secv::run(&spec(), 512);
     assert_eq!(r.analytic_max_seq as usize, r.traced_max_seq);
     assert!((3.7..4.1).contains(&r.memory_exponent));
+}
+
+/// `actual` equals `expected` to within 1e-9 relative.
+fn assert_pinned(what: &str, actual: f64, expected: f64) {
+    let rel = ((actual - expected) / expected).abs();
+    assert!(rel <= 1e-9, "{what}: {actual} vs pinned {expected} (rel error {rel:e})");
+}
+
+/// The two value figures of the optimization-pass and power/energy
+/// experiments, pinned: a pass that stops firing moves the geomean
+/// all-passes speedup, and a shift in the power model or the
+/// energy-optimal batch cap moves the best on-time requests per Wh.
+#[test]
+fn optimize_and_energy_value_figures_are_pinned() {
+    let speedup = optimize::run(&spec()).speedup_all_passes;
+    assert_pinned("optimize speedup_all_passes", speedup, 2.3101551395533395);
+    let good_per_wh = energy::run(&spec()).best_good_per_wh;
+    assert_pinned("energy best_good_per_wh", good_per_wh, 1.7621683678940399);
 }
 
 #[test]
